@@ -6,7 +6,7 @@ vote, imputes their missing features, augments train/test data with them,
 and evaluates and probes classifiers built on top.
 """
 
-from .augment import SimilarDataset, build_similar_dataset, merge_datasets
+from .augment import build_similar_dataset, merge_datasets
 from .dataset import (
     Dataset,
     FeatureSchema,
@@ -62,7 +62,6 @@ __all__ = [
     "Sample",
     "ScoreFile",
     "ShellSample",
-    "SimilarDataset",
     "SimilarityParams",
     "SimlabelError",
     "TrainConfig",

@@ -8,7 +8,7 @@ its provenance and prefixes similar ids so the combined id space stays unique.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Sequence
 
 from .dataset import SOURCE_SIMILAR, Dataset, Sample
@@ -18,12 +18,7 @@ from .matcher import MatchResult
 SIMILAR_ID_PREFIX = "similar:"
 
 
-@dataclass
-class SimilarDataset(Dataset):
-    """A dataset of pseudo-labeled rows; each carries source, vote, and matched_count."""
-
-
-def build_similar_dataset(matches: Sequence[MatchResult], unlabeled: Dataset) -> SimilarDataset:
+def build_similar_dataset(matches: Sequence[MatchResult], unlabeled: Dataset) -> Dataset:
     """One row per confident match (estimate != 0), in match order.
 
     Ids stay the unlabeled source ids so each row traces back to exactly one
@@ -64,10 +59,10 @@ def build_similar_dataset(matches: Sequence[MatchResult], unlabeled: Dataset) ->
             )
         )
     provenance = f"similar samples ({len(rows)} confident of {len(matches)} matches) from {unlabeled.provenance or '<unnamed>'}"
-    return SimilarDataset(schema=unlabeled.schema, rows=rows, provenance=provenance)
+    return Dataset(schema=unlabeled.schema, rows=rows, provenance=provenance)
 
 
-def merge_datasets(real: Dataset, similar: SimilarDataset) -> Dataset:
+def merge_datasets(real: Dataset, similar: Dataset) -> Dataset:
     """Concatenate real rows with prefixed similar rows; provenance tells them apart."""
     if real.schema != similar.schema:
         raise AugmentError("cannot merge datasets with different schemas")

@@ -6,9 +6,11 @@ with identical inputs and seed produces byte-identical outputs, and the
 worker count never changes a single output byte. Failures exit nonzero with
 one machine-readable JSON line on stderr.
 
-Environment variables: SIMLABEL_WORKERS (default worker count) and
-SIMLABEL_OUT_DIR (default output directory); everything else comes from the
-config file or command-line overrides.
+Every setting is a row of OPTIONS: its config key, its flag, the commands
+that accept the flag, its type and its default. A flag beats the environment
+variable (SIMLABEL_OUT_DIR, SIMLABEL_WORKERS), which beats the config file,
+which beats the default. Paths in the config file are relative to it; paths
+given by flag or environment are relative to the working directory.
 """
 
 from __future__ import annotations
@@ -19,534 +21,389 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+from typing import Any
 
 from . import augment as augment_mod
 from . import evaluation, kernel, matcher, model as model_mod, probe as probe_mod
-from .dataset import Dataset, Sample, load_dataset, load_schema, write_dataset
+from .dataset import Dataset, Sample, load_dataset, load_schema, read_json, write_dataset, write_json
 from .dataset import atomic_write_text, time_holdout_split
 from .errors import ConfigError, MissingArtifactError, SimlabelError
-
-TRAIN_CSV = "train.csv"
-TEST_CSV = "test.csv"
-RANGES_JSON = "ranges.json"
-PARAMS_JSON = "params.json"
-MATCH_TRAIN_CSV = "match_train.csv"
-MATCH_TEST_CSV = "match_test.csv"
-MATCH_TRAIN_SIDECAR = "match_train_contributors.json"
-MATCH_TEST_SIDECAR = "match_test_contributors.json"
-SIMILAR_TRAIN_CSV = "similar_train.csv"
-SIMILAR_TEST_CSV = "similar_test.csv"
-AUGMENTED_TRAIN_CSV = "augmented_train.csv"
-MODEL_PLAIN_JSON = "model_plain.json"
-MODEL_AUGMENTED_JSON = "model_augmented.json"
-SCORES_PLAIN_CSV = "scores_plain.csv"
-SCORES_AUGMENTED_CSV = "scores_augmented.csv"
-EVAL_REPORT_JSON = "eval_report.json"
-EVAL_REPORT_TXT = "eval_report.txt"
 
 MODEL_NAME_PLAIN = "logistic regression"
 MODEL_NAME_AUGMENTED = "logistic regression*"
 
-_KNOWN_TOP_KEYS = {
-    "schema", "labeled", "unlabeled", "out_dir", "seed",
-    "split", "calibrate", "train", "evaluate", "probe",
+PROBES = ("probe-grid", "probe-shell")
+
+
+@dataclass(frozen=True)
+class Option:
+    """One setting: where the config file keeps it and which flag sets it.
+
+    `section` None is the top level of the config file; `key` None means only
+    the flag (or `env`) sets it. `commands` None gives the flag to every
+    command.
+    """
+
+    section: str | None
+    key: str | None
+    flag: str | None
+    kind: str
+    default: Any = None
+    commands: tuple[str, ...] | None = None
+    env: str | None = None
+    help: str | None = None
+
+    @property
+    def name(self) -> str:
+        return self.key or self.flag.lstrip("-")
+
+
+OPTIONS = (
+    Option(None, "schema", None, "path"),
+    Option(None, "labeled", None, "path"),
+    Option(None, "unlabeled", None, "path"),
+    Option(None, "out_dir", "--out-dir", "path", env="SIMLABEL_OUT_DIR",
+           help="output directory override"),
+    Option(None, None, "--workers", "int", 1, env="SIMLABEL_WORKERS",
+           help="worker count (never changes output bytes)"),
+    Option(None, "seed", "--seed", "int", 0, help="seed override"),
+    Option("split", "test_fraction", "--test-fraction", "unit", 0.2, ("split",)),
+    Option("calibrate", "percentile", "--percentile", "unit", 0.95, ("calibrate",)),
+    Option("calibrate", "confidence_budget", "--budget", "unit", 0.05, ("calibrate",),
+           help="confidence budget (matched fraction must stay below it)"),
+    Option("calibrate", "d", "--d", "float", None, ("calibrate", "probe-shell"),
+           help="manual similarity threshold (probe-shell: similarity floor)"),
+    Option("calibrate", "c", "--c", "float", None, ("calibrate",), help="manual confidence threshold"),
+    Option("train", "l1", "--l1", "float", 0.0, ("train",)),
+    Option("train", "l2", "--l2", "float", 0.0, ("train",)),
+    Option("train", "max_iter", "--max-iter", "int", 500, ("train",)),
+    Option("train", "tol", "--tol", "float", 1e-8, ("train",)),
+    Option("train", "features", None, "names"),
+    Option("evaluate", "class_threshold", "--class-threshold", "float", 0.5, ("evaluate",)),
+    Option("evaluate", "external_scores", None, "scores", ()),
+    Option(None, None, "--model", "path", None, PROBES, help="model JSON (default: model_plain.json)"),
+    Option("probe", "sample_id", "--sample-id", "str", None, PROBES),
+    Option("probe", "data", "--probe-data", "path", None, PROBES,
+           help="dataset holding the probe sample (default: the labeled file)"),
+    Option("probe", "fx", "--fx", "str", None, ("probe-grid",)),
+    Option("probe", "fy", "--fy", "str", None, ("probe-grid",)),
+    Option("probe", "x", "--x", "axis", None, ("probe-grid",)),
+    Option("probe", "y", "--y", "axis", None, ("probe-grid",)),
+    Option("probe", "vary", "--vary", "names", None, ("probe-shell",),
+           help="comma-separated features to perturb"),
+    Option("probe", "count", "--count", "int", 200, ("probe-shell",)),
+)
+
+
+def _unit(value, base: Path) -> float:
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(value)
+    return value
+
+
+def _axis(value, base: Path) -> tuple[float, float, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 3:
+        raise ValueError(value)
+    return (float(value[0]), float(value[1]), int(value[2]))
+
+
+def _names(value, base: Path) -> list[str] | None:
+    parts = value.split(",") if isinstance(value, str) else list(value)
+    return [str(part).strip() for part in parts] or None
+
+
+def _scores(value, base: Path) -> list[tuple[str, Path]]:
+    if not all(isinstance(e, dict) and "name" in e and "path" in e for e in value):
+        raise ValueError(value)
+    return [(str(e["name"]), base / str(e["path"])) for e in value]
+
+
+# kind -> (parse(value, directory that relative paths start from), what a value
+# must be, how argparse reads the flag)
+KINDS = {
+    "int": (lambda value, base: int(value), "an integer", {"type": int}),
+    "float": (lambda value, base: float(value), "a number", {"type": float}),
+    "unit": (_unit, "a number in [0, 1]", {"type": float}),
+    "str": (lambda value, base: str(value), "a string", {}),
+    "path": (lambda value, base: base / str(value), "a path", {}),
+    "axis": (_axis, "[low, high, count]", {"type": float, "nargs": 3, "metavar": ("LO", "HI", "N")}),
+    "names": (_names, "a list of feature names", {}),
+    "scores": (_scores, "a list of objects with 'name' and 'path'", {}),
 }
-_KNOWN_SECTION_KEYS = {
-    "split": {"test_fraction"},
-    "calibrate": {"percentile", "confidence_budget", "d", "c"},
-    "train": {"l1", "l2", "max_iter", "tol", "features"},
-    "evaluate": {"class_threshold", "external_scores"},
-    "probe": {"sample_id", "data", "fx", "fy", "x", "y", "vary", "count"},
-}
 
 
-@dataclass
-class RunConfig:
-    """Every knob of a run, resolved from the config file plus flag overrides."""
+def _resolve(option: Option, args: argparse.Namespace, section: dict, config_path: Path):
+    """The first set value of flag, environment and config file, parsed; else the default."""
+    sources = (
+        (getattr(args, option.name, None) if option.flag else None, option.flag, Path()),
+        (os.environ.get(option.env) if option.env else None, option.env, Path()),
+        (section.get(option.key) if option.key else None, str(config_path), config_path.parent),
+    )
+    for value, source, base in sources:
+        if value is None or value == "":
+            continue
+        parse, must_be, _ = KINDS[option.kind]
+        try:
+            return parse(value, base)
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"{option.name} must be {must_be}, got {value!r} from {source}") from err
+    return option.default
 
-    schema_path: Path | None
-    labeled_path: Path | None
-    unlabeled_path: Path | None
-    out_dir: Path | None
-    seed: int
-    test_fraction: float
-    percentile: float
-    confidence_budget: float
-    d_override: float | None
-    c_override: float | None
-    l1: float
-    l2: float
-    max_iter: int
-    tol: float
-    features: list[str] | None
-    class_threshold: float
-    external_scores: list[tuple[str, Path]]
-    probe_sample_id: str | None
-    probe_data: Path | None
-    probe_fx: str | None
-    probe_fy: str | None
-    probe_x: tuple[float, float, int] | None
-    probe_y: tuple[float, float, int] | None
-    probe_vary: list[str] | None
-    probe_count: int
-    workers: int
 
-    def require(self, attribute: str, what: str) -> Path:
-        value = getattr(self, attribute)
-        if value is None:
-            raise ConfigError(f"config is missing {what}")
-        if not Path(value).exists():
-            raise ConfigError(f"{what} does not exist: {value}")
-        return Path(value)
+class Run(dict):
+    """A command's resolved settings by name, and the input and artifact files they point at."""
 
-    def resolved_out_dir(self) -> Path:
-        if self.out_dir is None:
+    def input(self, name: str) -> Path:
+        if self[name] is None:
+            raise ConfigError(f"config is missing the {name} path")
+        return self[name]
+
+    @cached_property
+    def schema(self):
+        return load_schema(self.input("schema"))
+
+    @cached_property
+    def out(self) -> Path:
+        if self["out_dir"] is None:
             raise ConfigError("no output directory (set out_dir in the config, "
                               "--out-dir, or SIMLABEL_OUT_DIR)")
-        return self.out_dir
+        return self["out_dir"]
+
+    def artifact(self, name: str, path: Path | None = None) -> Path:
+        """The artifact `name`, at `path` or in the output directory; it must exist."""
+        path = path or self.out / name
+        if not path.exists():
+            producer = next(c for c, (_, _, outputs) in _DISPATCH.items() if name in outputs)
+            raise MissingArtifactError(f"{path} not found; run `{producer}` first")
+        return path
+
+    def dataset(self, name: str) -> Dataset:
+        """The labeled or unlabeled input, or a dataset artifact the chain wrote."""
+        path = self.input(name) if name in self else self.artifact(name)
+        return load_dataset(path, self.schema)
+
+    def optional(self, name: str) -> Dataset | None:
+        """A dataset artifact that only some runs write, or None."""
+        path = self.out / name
+        return load_dataset(path, self.schema, strict_labeled=False) if path.exists() else None
 
 
-def _validate_known_keys(payload: dict, config_path: Path) -> None:
-    problems = [f"unknown top-level key {key!r}" for key in payload if key not in _KNOWN_TOP_KEYS]
-    for section, known in _KNOWN_SECTION_KEYS.items():
-        entries = payload.get(section)
-        if isinstance(entries, dict):
-            problems.extend(
-                f"unknown key {key!r} in section {section!r}"
-                for key in entries
-                if key not in known
-            )
-    if problems:
-        raise ConfigError(f"{config_path}: {'; '.join(problems)}")
-
-
-def load_config(config_path: str | Path, args: argparse.Namespace) -> RunConfig:
+def load_config(config_path: str | Path, args: argparse.Namespace) -> Run:
     config_path = Path(config_path)
-    if not config_path.exists():
-        raise ConfigError(f"config file not found: {config_path}")
-    try:
-        payload = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{config_path} is not valid JSON: {err}") from err
+    payload = read_json(config_path, ConfigError, "config file")
     if not isinstance(payload, dict):
         raise ConfigError(f"{config_path} must contain a JSON object")
-    _validate_known_keys(payload, config_path)
-    base = config_path.parent
-
-    def path_of(value) -> Path | None:
-        return None if value is None else (base / str(value))
-
-    def section(name: str) -> dict:
-        entries = payload.get(name) or {}
+    sections = {None: payload} | {o.section: payload.get(o.section) or {} for o in OPTIONS if o.section}
+    known = {s: {o.key for o in OPTIONS if o.key and o.section == s} for s in sections}
+    known[None].update(s for s in sections if s)
+    problems = []
+    for section, entries in sections.items():
         if not isinstance(entries, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        return entries
-
-    split = section("split")
-    calibrate = section("calibrate")
-    train = section("train")
-    evaluate = section("evaluate")
-    probe = section("probe")
-
-    externals: list[tuple[str, Path]] = []
-    for entry in evaluate.get("external_scores") or []:
-        if not isinstance(entry, dict) or "name" not in entry or "path" not in entry:
-            raise ConfigError("each external_scores entry needs 'name' and 'path'")
-        externals.append((str(entry["name"]), base / str(entry["path"])))
-
-    def axis(value) -> tuple[float, float, int] | None:
-        if value is None:
-            return None
-        if not isinstance(value, (list, tuple)) or len(value) != 3:
-            raise ConfigError("probe axis must be [low, high, count]")
-        return (float(value[0]), float(value[1]), int(value[2]))
-
-    def override(flag_value, config_value):
-        return flag_value if flag_value is not None else config_value
-
-    out_dir = override(getattr(args, "out_dir", None), None)
-    if out_dir is None:
-        out_dir = os.environ.get("SIMLABEL_OUT_DIR") or None
-        if out_dir is None and payload.get("out_dir") is not None:
-            out_dir = base / str(payload["out_dir"])
-    workers = getattr(args, "workers", None)
-    if workers is None:
-        workers = int(os.environ.get("SIMLABEL_WORKERS", "1"))
-
-    vary_flag = getattr(args, "vary", None)
-    vary = vary_flag.split(",") if vary_flag else probe.get("vary")
-
-    cfg = RunConfig(
-        schema_path=path_of(payload.get("schema")),
-        labeled_path=path_of(payload.get("labeled")),
-        unlabeled_path=path_of(payload.get("unlabeled")),
-        out_dir=None if out_dir is None else Path(out_dir),
-        seed=int(override(getattr(args, "seed", None), payload.get("seed", 0))),
-        test_fraction=float(override(getattr(args, "test_fraction", None), split.get("test_fraction", 0.2))),
-        percentile=float(override(getattr(args, "percentile", None), calibrate.get("percentile", 0.95))),
-        confidence_budget=float(override(getattr(args, "budget", None), calibrate.get("confidence_budget", 0.05))),
-        d_override=override(getattr(args, "d", None), calibrate.get("d")),
-        c_override=override(getattr(args, "c", None), calibrate.get("c")),
-        l1=float(override(getattr(args, "l1", None), train.get("l1", 0.0))),
-        l2=float(override(getattr(args, "l2", None), train.get("l2", 0.0))),
-        max_iter=int(override(getattr(args, "max_iter", None), train.get("max_iter", 500))),
-        tol=float(override(getattr(args, "tol", None), train.get("tol", 1e-8))),
-        features=train.get("features"),
-        class_threshold=float(override(getattr(args, "class_threshold", None), evaluate.get("class_threshold", 0.5))),
-        external_scores=externals,
-        probe_sample_id=override(getattr(args, "sample_id", None), probe.get("sample_id")),
-        probe_data=override(path_of_flag(getattr(args, "probe_data", None)), path_of(probe.get("data"))),
-        probe_fx=override(getattr(args, "fx", None), probe.get("fx")),
-        probe_fy=override(getattr(args, "fy", None), probe.get("fy")),
-        probe_x=override(axis(getattr(args, "x_axis", None)), axis(probe.get("x"))),
-        probe_y=override(axis(getattr(args, "y_axis", None)), axis(probe.get("y"))),
-        probe_vary=[str(v).strip() for v in vary] if vary else None,
-        probe_count=int(override(getattr(args, "count", None), probe.get("count", 200))),
-        workers=int(workers),
-    )
-    for name, value in (
-        ("split.test_fraction", cfg.test_fraction),
-        ("calibrate.percentile", cfg.percentile),
-        ("calibrate.confidence_budget", cfg.confidence_budget),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name} must be in [0, 1], got {value}")
-    if cfg.d_override is not None:
-        cfg.d_override = float(cfg.d_override)
-    if cfg.c_override is not None:
-        cfg.c_override = float(cfg.c_override)
-    return cfg
-
-
-def path_of_flag(value) -> Path | None:
-    return None if value is None else Path(value)
-
-
-def _require_artifact(path: Path, producing_command: str) -> Path:
-    if not path.exists():
-        raise MissingArtifactError(f"{path} not found; run `{producing_command}` first")
-    return path
+            raise ConfigError(f"config section {section!r} must be an object")
+        problems.extend(
+            f"unknown key {key!r} in section {section!r}" if section else f"unknown top-level key {key!r}"
+            for key in entries if key not in known[section]
+        )
+    if problems:
+        raise ConfigError(f"{config_path}: {'; '.join(problems)}")
+    return Run({
+        option.name: _resolve(option, args, sections[option.section], config_path)
+        for option in OPTIONS
+    })
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", text)
 
 
-def cmd_split(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    labeled = load_dataset(cfg.require("labeled_path", "the labeled data path"), schema)
-    out = cfg.resolved_out_dir()
-    train, test = time_holdout_split(labeled, cfg.test_fraction)
-    write_dataset(train, out / TRAIN_CSV)
-    write_dataset(test, out / TEST_CSV)
+def cmd_split(run: Run) -> str:
+    train, test = time_holdout_split(run.dataset("labeled"), run["test_fraction"])
+    write_dataset(train, run.out / "train.csv")
+    write_dataset(test, run.out / "test.csv")
     boundary = min((r.timestamp for r in test.rows), default=None)
     when = "none (test empty)" if boundary is None else boundary.isoformat()
     return (
-        f"split: {len(train)} train / {len(test)} test rows "
-        f"(fraction {cfg.test_fraction}, holdout {when}) -> {out / TRAIN_CSV}, {out / TEST_CSV}"
+        f"split: {len(train)} train / {len(test)} test rows (fraction {run['test_fraction']}, "
+        f"holdout {when}) -> {run.out / 'train.csv'}, {run.out / 'test.csv'}"
     )
 
 
-def cmd_ranges(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    labeled = load_dataset(cfg.require("labeled_path", "the labeled data path"), schema)
-    unlabeled = load_dataset(cfg.require("unlabeled_path", "the unlabeled data path"), schema)
-    out = cfg.resolved_out_dir()
-    table = kernel.compute_ranges([labeled, unlabeled], schema)
-    payload = table.to_json_dict()
-    atomic_write_text(out / RANGES_JSON, json.dumps(payload, indent=2) + "\n")
+def cmd_ranges(run: Run) -> str:
+    labeled, unlabeled = run.dataset("labeled"), run.dataset("unlabeled")
+    table = kernel.compute_ranges([labeled, unlabeled], run.schema)
+    kernel.save_range_table(table, run.out / "ranges.json")
     return (
         f"ranges: {len(table.ranges)} similarity features pooled over "
-        f"{len(labeled) + len(unlabeled)} rows -> {out / RANGES_JSON}"
+        f"{len(labeled) + len(unlabeled)} rows -> {run.out / 'ranges.json'}"
     )
 
 
-def cmd_calibrate(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    ranges = kernel.load_range_table(_require_artifact(out / RANGES_JSON, "ranges"))
-    train = load_dataset(_require_artifact(out / TRAIN_CSV, "split"), schema)
-    unlabeled = load_dataset(cfg.require("unlabeled_path", "the unlabeled data path"), schema)
-
-    distribution = matcher.labeled_similarity_distribution(train, ranges)
-    if cfg.d_override is not None:
-        d = cfg.d_override
-        d_note = f"d: manual override {d!r}"
-    else:
-        d = matcher.calibrate_similarity_threshold(train, ranges, cfg.percentile)
-        d_note = (
-            f"d: nearest-rank {cfg.percentile} percentile of "
-            f"{distribution['pairs']} labeled pairwise similarities"
-        )
-    if cfg.c_override is not None:
-        c = cfg.c_override
-        c_note = f"c: manual override {c!r}"
-    else:
-        c = matcher.calibrate_confidence_threshold(
-            train, unlabeled, ranges, d, cfg.confidence_budget
-        )
-        c_note = f"c: descending sweep under budget {cfg.confidence_budget} of {len(unlabeled)} unlabeled"
-    votes = matcher.unlabeled_votes(unlabeled, train, ranges, d)
-    assigned = sum(1 for t in votes if t is not None and abs(t) > c)
-    fraction = assigned / len(unlabeled)
-    params = matcher.SimilarityParams(d=d, c=c, provenance=f"{d_note}; {c_note}")
-    matcher.save_params(
-        params,
-        out / PARAMS_JSON,
-        extra={
-            "labeled_similarity_distribution": distribution,
-            "matched_fraction_at_c": fraction,
-            "run_config": {
-                "percentile": cfg.percentile,
-                "confidence_budget": cfg.confidence_budget,
-                "d_override": cfg.d_override,
-                "c_override": cfg.c_override,
-            },
-        },
+def cmd_calibrate(run: Run) -> str:
+    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    train, unlabeled = run.dataset("train.csv"), run.dataset("unlabeled")
+    result = matcher.calibrate(
+        train, unlabeled, ranges, run["percentile"], run["confidence_budget"], run["d"], run["c"]
     )
+    params = result.params
+    run_config = {"percentile": run["percentile"], "confidence_budget": run["confidence_budget"],
+                  "d_override": run["d"], "c_override": run["c"]}
+    matcher.save_params(params, run.out / "params.json", extra={
+        "labeled_similarity_distribution": result.distribution,
+        "matched_fraction_at_c": result.matched_fraction,
+        "run_config": run_config,
+    })
     return (
-        f"calibrate: d={d!r} c={c!r}, {assigned}/{len(unlabeled)} unlabeled matched "
-        f"({100 * fraction:.2f}%) -> {out / PARAMS_JSON}"
+        f"calibrate: d={params.d!r} c={params.c!r}, {result.assigned}/{len(unlabeled)} unlabeled "
+        f"matched ({100 * result.matched_fraction:.2f}%) -> {run.out / 'params.json'}"
     )
 
 
-def cmd_match(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    ranges = kernel.load_range_table(_require_artifact(out / RANGES_JSON, "ranges"))
-    params = matcher.load_params(_require_artifact(out / PARAMS_JSON, "calibrate"))
-    train = load_dataset(_require_artifact(out / TRAIN_CSV, "split"), schema)
-    test = load_dataset(_require_artifact(out / TEST_CSV, "split"), schema)
-    unlabeled = load_dataset(cfg.require("unlabeled_path", "the unlabeled data path"), schema)
-
+def cmd_match(run: Run) -> str:
+    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    params = matcher.load_params(run.artifact("params.json"))
+    sides = {"train": run.dataset("train.csv"), "test": run.dataset("test.csv")}
+    unlabeled = run.dataset("unlabeled")
     parts = []
-    for side, labeled, csv_name, sidecar_name in (
-        ("train", train, MATCH_TRAIN_CSV, MATCH_TRAIN_SIDECAR),
-        ("test", test, MATCH_TEST_CSV, MATCH_TEST_SIDECAR),
-    ):
-        results = matcher.match_batch(unlabeled, labeled, ranges, params, workers=cfg.workers)
+    for side, labeled in sides.items():
+        results = matcher.match_batch(unlabeled, labeled, ranges, params, workers=run["workers"])
         atomic_write_text(
-            out / csv_name,
-            matcher.matches_to_csv_text(results, schema.estimation_features),
+            run.out / f"match_{side}.csv",
+            matcher.matches_to_csv_text(results, run.schema.estimation_features),
         )
-        atomic_write_text(
-            out / sidecar_name,
-            json.dumps(matcher.contributors_to_json_dict(results), indent=2) + "\n",
-        )
+        write_json(run.out / f"match_{side}_contributors.json", matcher.contributors_to_json_dict(results))
         confident = sum(1 for r in results if r.estimated_label != 0)
         parts.append(f"{side}: {confident}/{len(results)} confident")
     return (
         f"match: d={params.d!r} c={params.c!r}; {'; '.join(parts)} "
-        f"-> {out / MATCH_TRAIN_CSV}, {out / MATCH_TEST_CSV}"
+        f"-> {run.out / 'match_train.csv'}, {run.out / 'match_test.csv'}"
     )
 
 
-def cmd_augment(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    train = load_dataset(_require_artifact(out / TRAIN_CSV, "split"), schema)
-    unlabeled = load_dataset(cfg.require("unlabeled_path", "the unlabeled data path"), schema)
-    matches_train = matcher.load_matches(
-        _require_artifact(out / MATCH_TRAIN_CSV, "match"), schema.estimation_features
-    )
-    matches_test = matcher.load_matches(
-        _require_artifact(out / MATCH_TEST_CSV, "match"), schema.estimation_features
-    )
-
-    similar_train = augment_mod.build_similar_dataset(matches_train, unlabeled)
-    similar_test = augment_mod.build_similar_dataset(matches_test, unlabeled)
-    merged = augment_mod.merge_datasets(train, similar_train)
-    write_dataset(similar_train, out / SIMILAR_TRAIN_CSV, include_provenance=True)
-    write_dataset(similar_test, out / SIMILAR_TEST_CSV, include_provenance=True)
-    write_dataset(merged, out / AUGMENTED_TRAIN_CSV, include_provenance=True)
-    return (
-        f"augment: {len(similar_train)} similar-train rows, {len(similar_test)} similar-test rows, "
-        f"augmented train has {len(merged)} rows -> {out / AUGMENTED_TRAIN_CSV}"
-    )
-
-
-def _train_one(cfg: RunConfig, data: Dataset, model_path: Path, train_path: str) -> model_mod.LinearModel:
-    config = model_mod.TrainConfig(
-        l1=cfg.l1, l2=cfg.l2, max_iter=cfg.max_iter, tol=cfg.tol, seed=cfg.seed
-    )
-    fitted = model_mod.train_logistic(data, cfg.features, config)
-    model_mod.save_model(
-        fitted,
-        model_path,
-        extra={
-            "run_config": {
-                "l1": cfg.l1,
-                "l2": cfg.l2,
-                "max_iter": cfg.max_iter,
-                "tol": cfg.tol,
-                "seed": cfg.seed,
-                "features": cfg.features,
-                "train_rows": len(data),
-                "train_artifact": train_path,
-            }
-        },
-    )
-    return fitted
-
-
-def cmd_train(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    train = load_dataset(_require_artifact(out / TRAIN_CSV, "split"), schema)
-    plain = _train_one(cfg, train, out / MODEL_PLAIN_JSON, TRAIN_CSV)
-    parts = [
-        f"plain: {len(plain.weights)} weights, {plain.n_iter} iters ({plain.stop_reason})"
-    ]
-    augmented_path = out / AUGMENTED_TRAIN_CSV
-    if augmented_path.exists():
-        merged = load_dataset(augmented_path, schema, strict_labeled=False)
-        augmented = _train_one(cfg, merged, out / MODEL_AUGMENTED_JSON, AUGMENTED_TRAIN_CSV)
-        parts.append(
-            f"augmented: {len(augmented.weights)} weights, "
-            f"{augmented.n_iter} iters ({augmented.stop_reason})"
+def cmd_augment(run: Run) -> str:
+    train, unlabeled = run.dataset("train.csv"), run.dataset("unlabeled")
+    similar = {
+        side: augment_mod.build_similar_dataset(
+            matcher.load_matches(run.artifact(f"match_{side}.csv"), run.schema.estimation_features),
+            unlabeled,
         )
-    else:
-        parts.append("augmented: skipped (no augmented_train.csv; run `augment` to enable)")
-    return f"train: {'; '.join(parts)} -> {out / MODEL_PLAIN_JSON}"
+        for side in ("train", "test")
+    }
+    merged = augment_mod.merge_datasets(train, similar["train"])
+    write_dataset(similar["train"], run.out / "similar_train.csv", include_provenance=True)
+    write_dataset(similar["test"], run.out / "similar_test.csv", include_provenance=True)
+    write_dataset(merged, run.out / "augmented_train.csv", include_provenance=True)
+    return (
+        f"augment: {len(similar['train'])} similar-train rows, {len(similar['test'])} similar-test "
+        f"rows, augmented train has {len(merged)} rows -> {run.out / 'augmented_train.csv'}"
+    )
 
 
-def _scoring_union(cfg: RunConfig, schema) -> Dataset:
-    out = cfg.resolved_out_dir()
-    test = load_dataset(_require_artifact(out / TEST_CSV, "split"), schema)
+def cmd_train(run: Run) -> str:
+    settings = {name: run[name] for name in ("l1", "l2", "max_iter", "tol", "seed")}
+    parts = []
+    for kind, data_name in (("plain", "train.csv"), ("augmented", "augmented_train.csv")):
+        data = run.dataset(data_name) if kind == "plain" else run.optional(data_name)
+        if data is None:
+            parts.append("augmented: skipped (no augmented_train.csv; run `augment` to enable)")
+            continue
+        fitted = model_mod.train_logistic(data, run["features"], model_mod.TrainConfig(**settings))
+        run_config = {**settings, "features": run["features"], "train_rows": len(data),
+                      "train_artifact": data_name}
+        model_mod.save_model(fitted, run.out / f"model_{kind}.json", extra={"run_config": run_config})
+        parts.append(f"{kind}: {len(fitted.weights)} weights, {fitted.n_iter} iters ({fitted.stop_reason})")
+    return f"train: {'; '.join(parts)} -> {run.out / 'model_plain.json'}"
+
+
+def cmd_score(run: Run) -> str:
+    test, similar = run.dataset("test.csv"), run.optional("similar_test.csv")
     rows: list[Sample] = list(test.rows)
-    similar_path = out / SIMILAR_TEST_CSV
-    if similar_path.exists():
-        similar = load_dataset(similar_path, schema, strict_labeled=False)
+    if similar is not None:
         clashes = set(test.ids()) & set(similar.ids())
         if clashes:
             raise ConfigError(
                 f"ids appear in both the real and similar test sets: {sorted(clashes)[:5]}"
             )
         rows.extend(similar.rows)
-    return Dataset(schema=schema, rows=rows, provenance="scoring union")
-
-
-def cmd_score(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    union = _scoring_union(cfg, schema)
-    fitted = model_mod.load_model(_require_artifact(out / MODEL_PLAIN_JSON, "train"))
-    scores = model_mod.predict_scores(fitted, union, MODEL_NAME_PLAIN)
-    model_mod.save_scores(scores, out / SCORES_PLAIN_CSV)
-    written = [str(out / SCORES_PLAIN_CSV)]
-    augmented_path = out / MODEL_AUGMENTED_JSON
-    if augmented_path.exists():
-        fitted_aug = model_mod.load_model(augmented_path)
-        scores_aug = model_mod.predict_scores(fitted_aug, union, MODEL_NAME_AUGMENTED)
-        model_mod.save_scores(scores_aug, out / SCORES_AUGMENTED_CSV)
-        written.append(str(out / SCORES_AUGMENTED_CSV))
+    union = Dataset(schema=run.schema, rows=rows, provenance="scoring union")
+    written = []
+    for model_path, scores_name, label in (
+        (run.artifact("model_plain.json"), "scores_plain.csv", MODEL_NAME_PLAIN),
+        (run.out / "model_augmented.json", "scores_augmented.csv", MODEL_NAME_AUGMENTED),
+    ):
+        if model_path.exists():
+            scores = model_mod.predict_scores(model_mod.load_model(model_path), union, label)
+            model_mod.save_scores(scores, run.out / scores_name)
+            written.append(str(run.out / scores_name))
     return f"score: {len(union)} rows scored by {len(written)} model(s) -> {', '.join(written)}"
 
 
-def _testsets(cfg: RunConfig, schema) -> tuple[dict[str, Dataset], list[str]]:
-    out = cfg.resolved_out_dir()
-    test = load_dataset(_require_artifact(out / TEST_CSV, "split"), schema)
-    testsets: dict[str, Dataset] = {"real": test}
-    notes: list[str] = []
-    similar_path = out / SIMILAR_TEST_CSV
-    if similar_path.exists():
-        similar = load_dataset(similar_path, schema, strict_labeled=False)
-        labels = {row.label for row in similar.rows}
-        if len(similar) >= 2 and labels == {-1, 1}:
-            testsets["similar"] = similar
-        else:
-            notes.append(
-                f"similar test set skipped ({len(similar)} rows, labels {sorted(labels)})"
-            )
-    else:
+def cmd_evaluate(run: Run) -> str:
+    testsets, notes = {"real": run.dataset("test.csv")}, []
+    similar = run.optional("similar_test.csv")
+    if similar is None:
         notes.append("similar test set absent (run `match` and `augment` to enable)")
-    return testsets, notes
-
-
-def cmd_evaluate(cfg: RunConfig) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    testsets, notes = _testsets(cfg, schema)
-    models = [
-        model_mod.load_external_scores(
-            _require_artifact(out / SCORES_PLAIN_CSV, "score"), MODEL_NAME_PLAIN
-        )
-    ]
-    if (out / SCORES_AUGMENTED_CSV).exists():
-        models.append(
-            model_mod.load_external_scores(out / SCORES_AUGMENTED_CSV, MODEL_NAME_AUGMENTED)
-        )
-    for name, path in cfg.external_scores:
-        if not path.exists():
-            raise ConfigError(f"external score file for {name!r} not found: {path}")
-        models.append(model_mod.load_external_scores(path, name))
-    report = evaluation.evaluate_table(models, testsets, cfg.class_threshold)
-    evaluation.save_report(report, out / EVAL_REPORT_JSON)
+    elif len(similar) >= 2 and {row.label for row in similar.rows} == {-1, 1}:
+        testsets["similar"] = similar
+    else:
+        labels = sorted({row.label for row in similar.rows})
+        notes.append(f"similar test set skipped ({len(similar)} rows, labels {labels})")
+    models = [model_mod.load_external_scores(run.artifact("scores_plain.csv"), MODEL_NAME_PLAIN)]
+    augmented = run.out / "scores_augmented.csv"
+    if augmented.exists():
+        models.append(model_mod.load_external_scores(augmented, MODEL_NAME_AUGMENTED))
+    models += [model_mod.load_external_scores(path, name) for name, path in run["external_scores"]]
+    report = evaluation.evaluate_table(models, testsets, run["class_threshold"])
+    evaluation.save_report(report, run.out / "eval_report.json")
     cells = "; ".join(
         f"{m}/{ts}={report.auc[(m, ts)]:.4f}"
         for m in report.model_names
         for ts in report.testset_names
     )
     suffix = f" ({'; '.join(notes)})" if notes else ""
-    return f"evaluate: {cells}{suffix} -> {out / EVAL_REPORT_JSON}"
+    return f"evaluate: {cells}{suffix} -> {run.out / 'eval_report.json'}"
 
 
-def cmd_report(cfg: RunConfig) -> str:
-    out = cfg.resolved_out_dir()
-    report = evaluation.load_report(_require_artifact(out / EVAL_REPORT_JSON, "evaluate"))
-    text = report.render_text()
-    atomic_write_text(out / EVAL_REPORT_TXT, text)
+def cmd_report(run: Run) -> str:
+    report = evaluation.load_report(run.artifact("eval_report.json"))
+    atomic_write_text(run.out / "eval_report.txt", report.render_text())
     return (
         f"report: {len(report.model_names)} models x {len(report.testset_names)} test sets "
-        f"-> {out / EVAL_REPORT_TXT}"
+        f"-> {run.out / 'eval_report.txt'}"
     )
 
 
-def _probe_base(cfg: RunConfig, schema) -> Sample:
-    data_path = cfg.probe_data if cfg.probe_data is not None else cfg.require(
-        "labeled_path", "the labeled data path"
-    )
-    if not Path(data_path).exists():
-        raise ConfigError(f"probe data file does not exist: {data_path}")
-    data = load_dataset(data_path, schema, strict_labeled=False)
-    if cfg.probe_sample_id is None:
+def _probe_base(run: Run) -> Sample:
+    data_path = run["data"] or run.input("labeled")
+    data = load_dataset(data_path, run.schema, strict_labeled=False)
+    if run["sample_id"] is None:
         raise ConfigError("no probe sample id (set probe.sample_id or --sample-id)")
-    sample = data.by_id().get(cfg.probe_sample_id)
+    sample = data.by_id().get(run["sample_id"])
     if sample is None:
-        raise ConfigError(f"sample id {cfg.probe_sample_id!r} not found in {data_path}")
+        raise ConfigError(f"sample id {run['sample_id']!r} not found in {data_path}")
     return sample
 
 
-def _probe_model_path(cfg: RunConfig, args_model: str | None) -> Path:
-    if args_model is not None:
-        return Path(args_model)
-    return cfg.resolved_out_dir() / MODEL_PLAIN_JSON
-
-
-def cmd_probe_grid(cfg: RunConfig, args_model: str | None) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    fitted = model_mod.load_model(_require_artifact(_probe_model_path(cfg, args_model), "train"))
-    base = _probe_base(cfg, schema)
-    fx = cfg.probe_fx or (schema.similarity_features[0] if len(schema.similarity_features) > 0 else None)
-    fy = cfg.probe_fy or (schema.similarity_features[1] if len(schema.similarity_features) > 1 else None)
-    if fx is None or fy is None:
+def cmd_probe_grid(run: Run) -> str:
+    fitted = model_mod.load_model(run.artifact("model_plain.json", run["model"]))
+    base = _probe_base(run)
+    features = run.schema.similarity_features  # a schema has at least one
+    fx = run["fx"] or features[0]
+    fy = run["fy"] or (features[1] if len(features) > 1 else None)
+    if fy is None:
         raise ConfigError("probe-grid needs two similarity features (probe.fx / probe.fy)")
-    x_axis, y_axis = cfg.probe_x, cfg.probe_y
+    x_axis, y_axis = run["x"], run["y"]
     if x_axis is None or y_axis is None:
-        ranges = kernel.load_range_table(_require_artifact(out / RANGES_JSON, "ranges"))
+        ranges = kernel.load_range_table(run.artifact("ranges.json"))
         for feature in (fx, fy):
             if feature not in ranges.bounds:
-                raise ConfigError(f"feature {feature!r} has no observed bounds in {RANGES_JSON}")
-        if x_axis is None:
-            lo, hi = ranges.bounds[fx]
-            x_axis = (lo, hi, 25)
-        if y_axis is None:
-            lo, hi = ranges.bounds[fy]
-            y_axis = (lo, hi, 25)
+                raise ConfigError(f"feature {feature!r} has no observed bounds in ranges.json")
+        x_axis = x_axis or (*ranges.bounds[fx], 25)
+        y_axis = y_axis or (*ranges.bounds[fy], 25)
     grid = probe_mod.probability_grid(fitted, base, fx, fy, x_axis, y_axis)
-    out_path = out / f"probe_grid_{_slug(base.id)}.csv"
+    out_path = run.out / f"probe_grid_{_slug(base.id)}.csv"
     atomic_write_text(out_path, grid.to_csv_text())
     return (
         f"probe-grid: {len(grid.x_values)}x{len(grid.y_values)} scores for sample "
@@ -554,34 +411,24 @@ def cmd_probe_grid(cfg: RunConfig, args_model: str | None) -> str:
     )
 
 
-def cmd_probe_shell(cfg: RunConfig, args_model: str | None) -> str:
-    schema = load_schema(cfg.require("schema_path", "the schema path"))
-    out = cfg.resolved_out_dir()
-    ranges = kernel.load_range_table(_require_artifact(out / RANGES_JSON, "ranges"))
-    base = _probe_base(cfg, schema)
-    if cfg.d_override is not None:
-        d = cfg.d_override
-    else:
-        params = matcher.load_params(_require_artifact(out / PARAMS_JSON, "calibrate"))
-        d = params.d
-    vary = cfg.probe_vary or list(schema.similarity_features)
-    shell = probe_mod.similarity_shell(
-        base, vary, ranges, d, cfg.probe_count, cfg.seed, workers=cfg.workers
-    )
+def cmd_probe_shell(run: Run) -> str:
+    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    base = _probe_base(run)
+    d = run["d"] if run["d"] is not None else matcher.load_params(run.artifact("params.json")).d
+    vary = run["vary"] or list(run.schema.similarity_features)
+    shell = probe_mod.similarity_shell(base, vary, ranges, d, run["count"], run["seed"], workers=run["workers"])
 
-    model_path = _probe_model_path(cfg, args_model)
-    summary_extra = ""
+    model_path = run["model"] or run.out / "model_plain.json"
     if model_path.exists():
         fitted = model_mod.load_model(model_path)
-        base_score, shell = probe_mod.score_shell(fitted, base, shell, cfg.class_threshold)
-        report = probe_mod.recourse_probe(fitted, base, shell, cfg.class_threshold)
-        recourse_path = out / f"recourse_{_slug(base.id)}.json"
-        payload = report.to_json_dict()
-        payload["run_config"] = {
-            "d": d, "count": cfg.probe_count, "seed": cfg.seed, "vary": list(vary),
-            "class_threshold": cfg.class_threshold,
-        }
-        atomic_write_text(recourse_path, json.dumps(payload, indent=2) + "\n")
+        threshold = run["class_threshold"]
+        base_score, shell = probe_mod.score_shell(fitted, base, shell, threshold)
+        report = probe_mod.recourse_probe(fitted, base, shell, threshold)
+        recourse_path = run.out / f"recourse_{_slug(base.id)}.json"
+        probe_mod.save_recourse_report(report, recourse_path, extra={"run_config": {
+            "d": d, "count": run["count"], "seed": run["seed"], "vary": list(vary),
+            "class_threshold": threshold,
+        }})
         verdict = "found" if report.recourse_found else "not found"
         summary_extra = (
             f"; base score {base_score!r}, recourse {verdict} "
@@ -589,14 +436,34 @@ def cmd_probe_shell(cfg: RunConfig, args_model: str | None) -> str:
         )
     else:
         summary_extra = "; unscored (no model file; run `train` to score the shell)"
-    shell_path = out / f"shell_{_slug(base.id)}.csv"
-    atomic_write_text(
-        shell_path, probe_mod.shell_to_csv_text(shell, schema.similarity_features)
-    )
+    shell_path = run.out / f"shell_{_slug(base.id)}.csv"
+    atomic_write_text(shell_path, probe_mod.shell_to_csv_text(shell, run.schema.similarity_features))
     return (
         f"probe-shell: {len(shell)} samples within similarity {d!r} of {base.id!r} "
         f"(varied {', '.join(vary)}) -> {shell_path}{summary_extra}"
     )
+
+
+# command -> (its function, what it does, the files it writes to the output directory)
+_DISPATCH = {
+    "split": (cmd_split, "time-holdout split of the labeled data", ("train.csv", "test.csv")),
+    "ranges": (cmd_ranges, "freeze per-feature ranges over labeled + unlabeled data", ("ranges.json",)),
+    "calibrate": (cmd_calibrate, "calibrate similarity threshold d and confidence threshold c",
+                  ("params.json",)),
+    "match": (cmd_match, "estimate labels for unlabeled samples vs train and test rows",
+              ("match_train.csv", "match_test.csv", "match_train_contributors.json",
+               "match_test_contributors.json")),
+    "augment": (cmd_augment, "build similar datasets and the augmented training set",
+                ("similar_train.csv", "similar_test.csv", "augmented_train.csv")),
+    "train": (cmd_train, "train plain and augmented logistic regression models",
+              ("model_plain.json", "model_augmented.json")),
+    "score": (cmd_score, "score the real + similar test rows with trained models",
+              ("scores_plain.csv", "scores_augmented.csv")),
+    "evaluate": (cmd_evaluate, "AUC table and McNemar comparisons", ("eval_report.json",)),
+    "probe-grid": (cmd_probe_grid, "two-feature probability grid around one sample", ()),
+    "probe-shell": (cmd_probe_shell, "fixed-similarity perturbation shell and recourse report", ()),
+    "report": (cmd_report, "render the evaluation report as an aligned text table", ("eval_report.txt",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,100 +473,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "for small labeled tabular datasets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
+    for command, (_, help_text, _) in _DISPATCH.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (never changes output bytes)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-
-    p = sub.add_parser("split", help="time-holdout split of the labeled data")
-    common(p)
-    p.add_argument("--test-fraction", type=float, default=None)
-
-    p = sub.add_parser("ranges", help="freeze per-feature ranges over labeled + unlabeled data")
-    common(p)
-
-    p = sub.add_parser("calibrate", help="calibrate similarity threshold d and confidence threshold c")
-    common(p)
-    p.add_argument("--percentile", type=float, default=None)
-    p.add_argument("--budget", type=float, default=None, help="confidence budget (matched fraction must stay below it)")
-    p.add_argument("--d", type=float, default=None, help="manual similarity threshold")
-    p.add_argument("--c", type=float, default=None, help="manual confidence threshold")
-
-    p = sub.add_parser("match", help="estimate labels for unlabeled samples vs train and test rows")
-    common(p)
-
-    p = sub.add_parser("augment", help="build similar datasets and the augmented training set")
-    common(p)
-
-    p = sub.add_parser("train", help="train plain and augmented logistic regression models")
-    common(p)
-    p.add_argument("--l1", type=float, default=None)
-    p.add_argument("--l2", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None, dest="max_iter")
-    p.add_argument("--tol", type=float, default=None)
-
-    p = sub.add_parser("score", help="score the real + similar test rows with trained models")
-    common(p)
-
-    p = sub.add_parser("evaluate", help="AUC table and McNemar comparisons")
-    common(p)
-    p.add_argument("--class-threshold", type=float, default=None, dest="class_threshold")
-
-    p = sub.add_parser("probe-grid", help="two-feature probability grid around one sample")
-    common(p)
-    p.add_argument("--model", default=None, help="model JSON (default: model_plain.json)")
-    p.add_argument("--sample-id", default=None, dest="sample_id")
-    p.add_argument("--probe-data", default=None, dest="probe_data",
-                   help="dataset holding the probe sample (default: the labeled file)")
-    p.add_argument("--fx", default=None)
-    p.add_argument("--fy", default=None)
-    p.add_argument("--x", type=float, nargs=3, default=None, dest="x_axis",
-                   metavar=("LO", "HI", "N"))
-    p.add_argument("--y", type=float, nargs=3, default=None, dest="y_axis",
-                   metavar=("LO", "HI", "N"))
-
-    p = sub.add_parser("probe-shell", help="fixed-similarity perturbation shell and recourse report")
-    common(p)
-    p.add_argument("--model", default=None, help="model JSON (default: model_plain.json)")
-    p.add_argument("--sample-id", default=None, dest="sample_id")
-    p.add_argument("--probe-data", default=None, dest="probe_data")
-    p.add_argument("--vary", default=None, help="comma-separated features to perturb")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--d", type=float, default=None, help="similarity floor override")
-
-    p = sub.add_parser("report", help="render the evaluation report as an aligned text table")
-    common(p)
-
+        for option in OPTIONS:
+            if option.flag and (option.commands is None or command in option.commands):
+                metavar = option.flag[2:].upper().replace("-", "_")
+                p.add_argument(option.flag, dest=option.name, default=None, help=option.help,
+                               **{"metavar": metavar, **KINDS[option.kind][2]})
     return parser
 
 
-_DISPATCH = {
-    "split": cmd_split,
-    "ranges": cmd_ranges,
-    "calibrate": cmd_calibrate,
-    "match": cmd_match,
-    "augment": cmd_augment,
-    "train": cmd_train,
-    "score": cmd_score,
-    "evaluate": cmd_evaluate,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args)
-        if args.command == "probe-grid":
-            summary = cmd_probe_grid(cfg, args.model)
-        elif args.command == "probe-shell":
-            summary = cmd_probe_shell(cfg, args.model)
-        else:
-            summary = _DISPATCH[args.command](cfg)
+        summary = _DISPATCH[args.command][0](load_config(args.config, args))
     except SimlabelError as err:
         line = json.dumps({"status": "error", "command": args.command, "message": str(err)})
         print(line, file=sys.stderr)

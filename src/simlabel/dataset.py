@@ -20,7 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator
 
-from .errors import DataError, SchemaError
+from .errors import DataError, SchemaError, SimlabelError
 
 SOURCE_REAL = "real"
 SOURCE_SIMILAR = "similar"
@@ -113,15 +113,20 @@ class FeatureSchema:
         return {name: role.value for name, role in self.columns}
 
 
-def load_schema(path: str | Path) -> FeatureSchema:
-    """Read a schema config: a JSON object mapping column name to role."""
+def read_json(path: str | Path, error: type[SimlabelError], what: str):
+    """Parse a JSON file; a missing or unparseable file raises `error` naming it."""
     path = Path(path)
     if not path.exists():
-        raise SchemaError(f"schema file not found: {path}")
+        raise error(f"{what} not found: {path}")
     try:
-        mapping = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise SchemaError(f"schema file {path} is not valid JSON: {err}") from err
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{what} {path} is not valid JSON: {err}") from err
+
+
+def load_schema(path: str | Path) -> FeatureSchema:
+    """Read a schema config: a JSON object mapping column name to role."""
+    mapping = read_json(path, SchemaError, "schema file")
     if not isinstance(mapping, dict) or not all(isinstance(v, str) for v in mapping.values()):
         raise SchemaError(f"schema file {path} must map column names to role strings")
     return FeatureSchema.from_mapping(mapping)
@@ -143,12 +148,6 @@ class Sample:
     vote: float | None = None
     matched_count: int | None = None
 
-    def get(self, name: str) -> float | None:
-        return self.features.get(name)
-
-    def has(self, name: str) -> bool:
-        return name in self.features
-
 
 @dataclass
 class Dataset:
@@ -169,9 +168,6 @@ class Dataset:
 
     def by_id(self) -> dict[str, Sample]:
         return {row.id: row for row in self.rows}
-
-    def labeled_rows(self) -> list[Sample]:
-        return [row for row in self.rows if row.label is not None]
 
 
 def _parse_feature(text: str, name: str) -> float:
@@ -347,6 +343,11 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """The JSON artifact format: two-space indent, trailing newline, written atomically."""
+    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def write_dataset(data: Dataset, path: str | Path, include_provenance: bool = False) -> None:

@@ -12,13 +12,12 @@ the report metadata says so.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .dataset import Dataset, atomic_write_text
+from .dataset import Dataset, read_json, write_json
 from .errors import EvalError
 from .model import ScoreFile
 
@@ -318,11 +317,8 @@ def evaluate_table(
 
 
 def save_report(report: EvalReport, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2) + "\n")
+    write_json(path, report.to_json_dict())
 
 
 def load_report(path: str | Path) -> EvalReport:
-    path = Path(path)
-    if not path.exists():
-        raise EvalError(f"evaluation report not found: {path}")
-    return EvalReport.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    return EvalReport.from_json_dict(read_json(path, EvalError, "evaluation report"))

@@ -11,12 +11,11 @@ frozen, so every comparison uses the same normalizers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .dataset import Dataset, FeatureSchema, Sample, atomic_write_text
+from .dataset import Dataset, FeatureSchema, Sample, read_json, write_json
 from .errors import KernelError
 
 
@@ -65,14 +64,11 @@ class RangeTable:
 
 
 def save_range_table(table: RangeTable, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(table.to_json_dict(), indent=2) + "\n")
+    write_json(path, table.to_json_dict())
 
 
 def load_range_table(path: str | Path) -> RangeTable:
-    path = Path(path)
-    if not path.exists():
-        raise KernelError(f"range table file not found: {path}")
-    return RangeTable.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    return RangeTable.from_json_dict(read_json(path, KernelError, "range table file"))
 
 
 def compute_ranges(

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .dataset import Dataset, Sample, atomic_write_text
+from .dataset import Dataset, Sample, read_json, write_json
 from .errors import MatcherError
 from .kernel import RangeTable, gower_similarity
 
@@ -106,30 +105,45 @@ def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:
     return sorted_values[index]
 
 
-def calibrate_similarity_threshold(
-    labeled: Dataset,
-    ranges: RangeTable,
-    percentile: float = 0.95,
-) -> float:
-    """Fix d at the nearest-rank percentile of all labeled pairwise similarities."""
-    if not 0.0 <= percentile <= 1.0:
-        raise MatcherError(f"percentile must be in [0, 1], got {percentile}")
+def _sorted_pairs(labeled: Dataset, ranges: RangeTable) -> list[float]:
+    """The labeled pairwise similarities, ascending; the guard runs before the pass."""
     if len(labeled.rows) < 2:
         raise MatcherError(
             f"calibrating d needs at least 2 labeled rows, got {len(labeled.rows)}"
         )
-    sims = sorted(pairwise_similarities(labeled, ranges))
-    return nearest_rank(sims, percentile)
+    return sorted(pairwise_similarities(labeled, ranges))
 
 
-def labeled_similarity_distribution(labeled: Dataset, ranges: RangeTable) -> dict[str, float]:
+def calibrate_similarity_threshold(
+    labeled: Dataset,
+    ranges: RangeTable,
+    percentile: float = 0.95,
+    *,
+    sims: Sequence[float] | None = None,
+) -> float:
+    """Fix d at the nearest-rank percentile of all labeled pairwise similarities.
+
+    `sims` is that list, ascending, when the caller has already computed it.
+    """
+    if not 0.0 <= percentile <= 1.0:
+        raise MatcherError(f"percentile must be in [0, 1], got {percentile}")
+    return nearest_rank(_sorted_pairs(labeled, ranges) if sims is None else sims, percentile)
+
+
+def labeled_similarity_distribution(
+    labeled: Dataset,
+    ranges: RangeTable,
+    *,
+    sims: Sequence[float] | None = None,
+) -> dict[str, float]:
     """Diagnostic quantiles of the labeled pairwise-similarity distribution.
 
     The matching only works when labeled samples are not all near-identical;
     there is no principled hard rule for that, so this summary is reported
-    instead of enforced.
+    instead of enforced. `sims` is as in calibrate_similarity_threshold.
     """
-    sims = sorted(pairwise_similarities(labeled, ranges))
+    if sims is None:
+        sims = _sorted_pairs(labeled, ranges)
     return {
         "pairs": len(sims),
         "min": sims[0],
@@ -186,6 +200,8 @@ def calibrate_confidence_threshold(
     ranges: RangeTable,
     d: float,
     target_fraction: float = 0.05,
+    *,
+    votes: Sequence[float | None] | None = None,
 ) -> float:
     """Pick c so that strictly less than target_fraction of unlabeled rows get labels.
 
@@ -193,11 +209,13 @@ def calibrate_confidence_threshold(
     assignment count at candidate c is the number of rows with |t| > c
     (strict), which grows as the sweep descends. The smallest candidate still
     under budget wins. With no defined votes, or a budget nothing satisfies,
-    the fallback c = 1.0 assigns nothing.
+    the fallback c = 1.0 assigns nothing. `votes` is unlabeled_votes at d when
+    the caller has already computed it.
     """
     if not unlabeled.rows:
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
-    votes = unlabeled_votes(unlabeled, labeled, ranges, d)
+    if votes is None:
+        votes = unlabeled_votes(unlabeled, labeled, ranges, d)
     magnitudes = sorted({abs(t) for t in votes if t is not None}, reverse=True)
     if not magnitudes:
         return 1.0
@@ -212,6 +230,55 @@ def calibrate_confidence_threshold(
         else:
             break
     return best if best is not None else 1.0
+
+
+@dataclass(frozen=True)
+class Calibration:
+    """The thresholds the calibrate stage chose, with its diagnostics."""
+
+    params: SimilarityParams
+    distribution: dict[str, float]
+    assigned: int
+    matched_fraction: float
+
+
+def calibrate(
+    labeled: Dataset,
+    unlabeled: Dataset,
+    ranges: RangeTable,
+    percentile: float = 0.95,
+    target_fraction: float = 0.05,
+    d: float | None = None,
+    c: float | None = None,
+) -> Calibration:
+    """Choose d and c, then count the unlabeled rows they assign.
+
+    A given d or c is a manual override and skips its calibration. The
+    labeled pairwise similarities and the unlabeled votes at d are each
+    computed once and feed the distribution, d, c and the matched fraction.
+    """
+    if not unlabeled.rows:
+        raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
+    sims = _sorted_pairs(labeled, ranges)
+    distribution = labeled_similarity_distribution(labeled, ranges, sims=sims)
+    if d is None:
+        d = calibrate_similarity_threshold(labeled, ranges, percentile, sims=sims)
+        d_note = f"d: nearest-rank {percentile} percentile of {len(sims)} labeled pairwise similarities"
+    else:
+        d_note = f"d: manual override {d!r}"
+    votes = unlabeled_votes(unlabeled, labeled, ranges, d)
+    if c is None:
+        c = calibrate_confidence_threshold(labeled, unlabeled, ranges, d, target_fraction, votes=votes)
+        c_note = f"c: descending sweep under budget {target_fraction} of {len(unlabeled)} unlabeled"
+    else:
+        c_note = f"c: manual override {c!r}"
+    assigned = sum(1 for t in votes if t is not None and abs(t) > c)
+    return Calibration(
+        params=SimilarityParams(d=d, c=c, provenance=f"{d_note}; {c_note}"),
+        distribution=distribution,
+        assigned=assigned,
+        matched_fraction=assigned / len(unlabeled),
+    )
 
 
 def estimate_label(
@@ -381,14 +448,8 @@ def contributors_to_json_dict(results: Sequence[MatchResult]) -> dict:
 
 
 def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:
-    payload = params.to_json_dict()
-    if extra:
-        payload.update(extra)
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, {**params.to_json_dict(), **(extra or {})})
 
 
 def load_params(path: str | Path) -> SimilarityParams:
-    path = Path(path)
-    if not path.exists():
-        raise MatcherError(f"similarity params file not found: {path}")
-    return SimilarityParams.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    return SimilarityParams.from_json_dict(read_json(path, MatcherError, "similarity params file"))

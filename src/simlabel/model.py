@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, atomic_write_text
+from .dataset import Dataset, Sample, atomic_write_text, read_json, write_json
 from .errors import ModelError
 
 
@@ -124,17 +123,11 @@ class LinearModel:
 
 
 def save_model(model: LinearModel, path: str | Path, extra: dict | None = None) -> None:
-    payload = model.to_json_dict()
-    if extra:
-        payload.update(extra)
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, {**model.to_json_dict(), **(extra or {})})
 
 
 def load_model(path: str | Path) -> LinearModel:
-    path = Path(path)
-    if not path.exists():
-        raise ModelError(f"model file not found: {path}")
-    return LinearModel.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+    return LinearModel.from_json_dict(read_json(path, ModelError, "model file"))
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,7 +28,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Sample, atomic_write_text
+from .dataset import Sample, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, gower_similarity
@@ -373,5 +372,5 @@ def recourse_probe(
     )
 
 
-def save_recourse_report(report: RecourseReport, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(report.to_json_dict(), indent=2) + "\n")
+def save_recourse_report(report: RecourseReport, path: str | Path, extra: dict | None = None) -> None:
+    write_json(path, {**report.to_json_dict(), **(extra or {})})

@@ -5,12 +5,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import simlabel.matcher
 from conftest import write_pipeline_fixture
 from oracles import gower_oracle
-from simlabel.cli import main
+from simlabel.cli import OPTIONS, build_parser, load_config, main
 from simlabel.dataset import load_dataset, load_schema
 
 PIPELINE = ("split", "ranges", "calibrate", "match", "augment", "train", "score", "evaluate", "report")
@@ -229,3 +231,92 @@ class TestCliExtras:
         params = json.loads((fx["out"] / "params.json").read_text())
         assert params["d"] == 0.8 and params["c"] == 0.25
         assert "manual" in params["provenance"]
+
+
+def one_error_line(capsys) -> dict:
+    """The command's stderr: exactly one line, a JSON error object."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])
+    assert error["status"] == "error"
+    return error
+
+
+class TestCliRobustness:
+    def test_calibrate_runs_each_kernel_pass_once(self, tmp_path, monkeypatch):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for command in ("split", "ranges"):
+            assert main([command, "--config", str(fx["config"])]) == 0
+        schema = load_schema(fx["schema"])
+        n_train = len(load_dataset(fx["out"] / "train.csv", schema))
+        n_pool = len(load_dataset(fx["unlabeled"], schema))
+        calls = []
+        real = simlabel.matcher.gower_similarity
+        monkeypatch.setattr(simlabel.matcher, "gower_similarity", lambda *a: calls.append(1) or real(*a))
+        assert main(["calibrate", "--config", str(fx["config"])]) == 0
+        assert len(calls) == n_train * (n_train - 1) // 2 + n_train * n_pool
+
+    def test_calibrate_with_one_train_row_exits_cleanly(self, tmp_path, capsys):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        assert main(["split", "--config", str(fx["config"]), "--test-fraction", "0.95"]) == 0
+        assert main(["ranges", "--config", str(fx["config"])]) == 0
+        capsys.readouterr()
+        assert main(["calibrate", "--config", str(fx["config"])]) == 1
+        assert "at least 2 labeled rows" in one_error_line(capsys)["message"]
+
+    @pytest.mark.parametrize("artifact, command", [
+        ("ranges.json", "calibrate"),
+        ("params.json", "match"),
+        ("model_plain.json", "score"),
+        ("eval_report.json", "report"),
+    ])
+    def test_corrupt_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
+        for step in PIPELINE[:-1]:
+            assert main([step, "--config", str(fx["config"])]) == 0
+        (fx["out"] / artifact).write_text("{not json", encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"])]) == 1
+        assert artifact in one_error_line(capsys)["message"]
+
+    def test_bad_workers_env_var_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        monkeypatch.setenv("SIMLABEL_WORKERS", "x")
+        assert main(["split", "--config", str(fx["config"])]) == 1
+        assert "SIMLABEL_WORKERS" in one_error_line(capsys)["message"]
+
+
+# option kind -> (config value, flag arguments, value read from the config, value read from the flag)
+KIND_SAMPLES = {
+    "int": (3, ["5"], 3, 5),
+    "float": (0.25, ["0.75"], 0.25, 0.75),
+    "unit": (0.25, ["0.75"], 0.25, 0.75),
+    "str": ("a", ["b"], "a", "b"),
+    "path": ("from_config", ["from_flag"], "from_config", Path("from_flag")),
+    "axis": ([0, 1, 3], ["2", "3", "4"], (0.0, 1.0, 3), (2.0, 3.0, 4)),
+    "names": (["f0"], ["f1,f2"], ["f0"], ["f1", "f2"]),
+}
+
+
+@pytest.mark.parametrize("option", [o for o in OPTIONS if o.flag], ids=lambda o: o.flag)
+def test_flag_beats_config_beats_default(tmp_path, monkeypatch, option):
+    if option.env:
+        monkeypatch.delenv(option.env, raising=False)
+    config_value, flag_args, from_config, from_flag = KIND_SAMPLES[option.kind]
+    if option.kind == "path":
+        from_config = tmp_path / from_config
+    command = option.commands[0] if option.commands else "split"
+    config = tmp_path / "config.json"
+
+    def resolved(payload, *flags):
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        args = build_parser().parse_args([command, "--config", str(config), *flags])
+        return load_config(config, args)[option.name]
+
+    keyed = {}
+    if option.key:
+        keyed = {option.key: config_value}
+        keyed = keyed if option.section is None else {option.section: keyed}
+        assert resolved(keyed) == from_config
+    assert resolved(keyed, option.flag, *flag_args) == from_flag
+    assert resolved({}) == option.default
