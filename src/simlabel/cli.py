@@ -67,7 +67,7 @@ OPTIONS = (
     Option(None, "out_dir", "--out-dir", "path", env="SIMLABEL_OUT_DIR",
            help="output directory override"),
     Option(None, None, "--workers", "int", 1, env="SIMLABEL_WORKERS",
-           help="worker count (never changes output bytes)"),
+           help="accepted for compatibility; changes neither output nor speed"),
     Option(None, "seed", "--seed", "int", 0, help="seed override"),
     Option("split", "test_fraction", "--test-fraction", "unit", 0.2, ("split",)),
     Option("calibrate", "percentile", "--percentile", "unit", 0.95, ("calibrate",)),
@@ -423,7 +423,8 @@ def cmd_probe_shell(run: Run) -> str:
         fitted = model_mod.load_model(model_path)
         threshold = run["class_threshold"]
         base_score, shell = probe_mod.score_shell(fitted, base, shell, threshold)
-        report = probe_mod.recourse_probe(fitted, base, shell, threshold)
+        scores = {base.id: base_score, **{entry.sample.id: entry.score for entry in shell}}
+        report = probe_mod.recourse_probe(scores, base, shell, threshold)
         recourse_path = run.out / f"recourse_{_slug(base.id)}.json"
         probe_mod.save_recourse_report(report, recourse_path, extra={"run_config": {
             "d": d, "count": run["count"], "seed": run["seed"], "vary": list(vary),
@@ -488,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         summary = _DISPATCH[args.command][0](load_config(args.config, args))
-    except SimlabelError as err:
+    except (SimlabelError, OSError) as err:
         line = json.dumps({"status": "error", "command": args.command, "message": str(err)})
         print(line, file=sys.stderr)
         return 1

@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import DataError, SchemaError, SimlabelError
 
@@ -170,6 +172,12 @@ class Dataset:
         return {row.id: row for row in self.rows}
 
 
+def feature_matrix(rows: Sequence[Sample], names: Sequence[str]) -> np.ndarray:
+    """The named features of each row as a float64 array, NaN where a cell is missing."""
+    cells = [[row.features.get(name, math.nan) for name in names] for row in rows]
+    return np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
+
+
 def _parse_feature(text: str, name: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -215,6 +223,7 @@ def load_dataset(
         rows: list[Sample] = []
         violations: list[str] = []
         seen_ids: dict[str, int] = {}
+        first_aware: tuple[int, bool] | None = None  # (row, whether its timestamp has an offset)
         for row_num, cells in enumerate(reader, start=1):
             if len(cells) != len(header):
                 violations.append(
@@ -247,6 +256,14 @@ def load_dataset(
                     f"row {row_num}: timestamp {ts_text!r} is not ISO-8601"
                 )
                 ok = False
+            else:
+                # naive and offset-aware datetimes cannot be ordered against each other
+                aware = timestamp.tzinfo is not None
+                first_aware = first_aware or (row_num, aware)
+                if aware != first_aware[1]:
+                    kind = "offset-aware" if aware else "naive"
+                    violations.append(f"row {row_num}: timestamp {ts_text!r} is {kind}, unlike row {first_aware[0]}'s")
+                    ok = False
 
             label: int | None = None
             label_text = cell(label_col)
@@ -303,8 +320,9 @@ def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
     header = [name for name, _ in data.schema.columns]
     if include_provenance:
         header = header + list(PROVENANCE_COLUMNS)
-    lines = [",".join(header)]
-    writer_rows = []
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     for row in data.rows:
         cells = []
         for name, role in data.schema.columns:
@@ -321,11 +339,6 @@ def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
             cells.append(row.source)
             cells.append("" if row.vote is None else _format_value(row.vote))
             cells.append("" if row.matched_count is None else str(row.matched_count))
-        writer_rows.append(cells)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for cells in writer_rows:
         writer.writerow(cells)
     return buf.getvalue()
 

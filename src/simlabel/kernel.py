@@ -15,7 +15,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .dataset import Dataset, FeatureSchema, Sample, read_json, write_json
+import numpy as np
+
+from .dataset import Dataset, FeatureSchema, Sample, feature_matrix, read_json, write_json
 from .errors import KernelError
 
 
@@ -87,27 +89,20 @@ def compute_ranges(
     if not sources:
         raise KernelError("compute_ranges needs at least one source dataset")
 
-    lo: dict[str, float] = {}
-    hi: dict[str, float] = {}
-    for data in sources:
-        for row in data.rows:
-            for name in schema.similarity_features:
-                value = row.features.get(name)
-                if value is None:
-                    continue
-                if name not in lo or value < lo[name]:
-                    lo[name] = value
-                if name not in hi or value > hi[name]:
-                    hi[name] = value
-
-    missing = [name for name in schema.similarity_features if name not in lo]
+    names = schema.similarity_features
+    x = np.vstack([feature_matrix(data.rows, names) for data in sources])
+    missing = [name for name, empty in zip(names, np.isnan(x).all(axis=0)) if empty]
     if missing:
         raise KernelError(
             f"features with no observed values in any source: {', '.join(missing)}"
         )
 
-    ranges = {name: hi[name] - lo[name] for name in schema.similarity_features}
-    bounds = {name: (lo[name], hi[name]) for name in schema.similarity_features}
+    # the first extreme value in row order, so of 0.0 and -0.0 the one seen first
+    columns = np.arange(len(names))
+    lo = x[np.nanargmin(x, axis=0), columns].tolist()
+    hi = x[np.nanargmax(x, axis=0), columns].tolist()
+    ranges = {name: h - l for name, l, h in zip(names, lo, hi)}
+    bounds = {name: (l, h) for name, l, h in zip(names, lo, hi)}
     total_rows = sum(len(d) for d in sources)
     labels = [d.provenance or "<unnamed>" for d in sources]
     source = f"pooled over {len(sources)} dataset(s), {total_rows} rows: {'; '.join(labels)}"
@@ -147,3 +142,31 @@ def gower_similarity(a: Sample, b: Sample, ranges: RangeTable) -> float:
             f"samples {a.id!r} and {b.id!r} share no similarity feature values"
         )
     return total / count
+
+
+def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) -> np.ndarray:
+    """Gower similarity of every left row to every right row, shape (len(left), len(right)).
+
+    `left` and `right` are feature matrices whose columns follow the range
+    table's feature order (`dataset.feature_matrix`), NaN marking a missing
+    cell. Features are added one at a time in that order with the same float
+    operations as gower_similarity, so every entry equals gower_similarity of
+    the two rows exactly. A pair that shares no feature is NaN, where
+    gower_similarity raises.
+    """
+    total = np.zeros((len(left), len(right)))
+    count = np.zeros((len(left), len(right)))
+    # a spread below the float range overflows to inf and clamps to 1, as in
+    # gower_similarity; a pair with no shared feature is 0 / 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, spread in enumerate(ranges.ranges.values()):
+            a = left[:, k, None]
+            b = right[None, :, k]
+            if spread == 0.0:
+                score = (a == b).astype(np.float64)
+            else:
+                score = 1.0 - np.minimum(np.abs(a - b) / spread, 1.0)
+            present = ~np.isnan(a) & ~np.isnan(b)
+            total += np.where(present, score, 0.0)
+            count += present
+        return total / count

@@ -7,9 +7,11 @@ t < -c, and 0 (abstain) otherwise, where c is the confidence threshold.
 Confident estimates also get their estimation-only features reconstructed as
 the similarity-weighted mean over the matched contributors.
 
-All comparisons are strict, so ties at a threshold abstain. Batches are a
-parallel map over unlabeled rows against an immutable labeled dataset; output
-order and every byte of the result are independent of the worker count.
+All comparisons are strict, so ties at a threshold abstain. Similarities come
+from kernel.similarity_block in blocks of every labeled row against a run of
+unlabeled rows, at most BLOCK_PAIRS similarities a block. Votes and
+imputations add their terms in labeled-dataset order, so every result equals
+that of a per-pair loop bit for bit, whatever the block size.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .dataset import Dataset, Sample, read_json, write_json
-from .errors import MatcherError
-from .kernel import RangeTable, gower_similarity
+import numpy as np
+
+from .dataset import Dataset, Sample, feature_matrix, read_json, write_json
+from .errors import KernelError, MatcherError
+from .kernel import RangeTable, similarity_block
 
 TOP_CONTRIBUTORS_CAP = 10
+# similarities per block: each float64 array over a block takes 2 MiB
+BLOCK_PAIRS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -77,21 +82,58 @@ class MatchResult:
     top_contributors: tuple[tuple[str, float], ...]
 
 
-def _require_valid_labels(labeled: Dataset) -> None:
+def _labels(labeled: Dataset) -> np.ndarray:
+    """The labels as floats; every row must have one of -1 and +1."""
     bad = [row.id for row in labeled.rows if row.label not in (-1, 1)]
     if bad:
         raise MatcherError(
             f"labeled dataset has rows without a -1/+1 label: {', '.join(bad[:10])}"
         )
+    return np.array([row.label for row in labeled.rows], dtype=np.float64)[:, None]
+
+
+def _blocks(
+    left_rows: Sequence[Sample], left: np.ndarray, right_rows: Sequence[Sample], right: np.ndarray,
+    ranges: RangeTable,
+) -> Iterator[tuple[Sequence[Sample], np.ndarray]]:
+    """Runs of right rows, in order, with their similarity to every left row.
+
+    `left` and `right` are the rows' feature matrices in range-table order.
+    The similarities have left rows on axis 0; a block holds at most
+    BLOCK_PAIRS of them, or one right row's when the left rows alone are more.
+    The first pair, in right-row order, that shares no feature raises.
+    """
+    step = max(1, BLOCK_PAIRS // max(1, len(left)))
+    for start in range(0, len(right), step):
+        rows = right_rows[start:start + step]
+        sims = similarity_block(left, right[start:start + step], ranges)
+        missing = np.argwhere(np.isnan(sims.T))
+        if len(missing):
+            j, i = missing[0]
+            raise KernelError(
+                f"samples {left_rows[i].id!r} and {rows[j].id!r} share no similarity feature values"
+            )
+        yield rows, sims
+
+
+def _labeled_blocks(unlabeled: Dataset, labeled: Dataset, ranges: RangeTable):
+    """_blocks of every labeled row against runs of unlabeled rows."""
+    names = ranges.features()
+    return _blocks(labeled.rows, feature_matrix(labeled.rows, names),
+                   unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges)
 
 
 def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> list[float]:
-    """All N*(N-1)/2 Gower similarities between labeled rows, pair order row-major."""
+    """All N*(N-1)/2 Gower similarities between labeled rows, pair order row-major.
+
+    Each row is compared with the rows after it.
+    """
     rows = labeled.rows
-    sims = []
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            sims.append(gower_similarity(rows[i], rows[j], ranges))
+    x = feature_matrix(rows, ranges.features())
+    sims: list[float] = []
+    for i in range(len(rows) - 1):
+        for _, block in _blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges):
+            sims.extend(block[0].tolist())
     return sims
 
 
@@ -155,28 +197,18 @@ def labeled_similarity_distribution(
     }
 
 
-def _vote(
-    u: Sample,
-    labeled_rows: Sequence[Sample],
-    ranges: RangeTable,
-    d: float,
-) -> tuple[float, float, list[tuple[int, float]]]:
-    """Weighted vote accumulators for one unlabeled sample.
+def _weighted_means(weights: np.ndarray, values: np.ndarray) -> list[float | None]:
+    """sum(w * v) / sum(w) down each column, or None where sum(w) is 0.
 
-    Returns (sum of w*y, sum of w, matched contributors as (row index, similarity)).
-    Accumulation is in labeled-dataset order, left to right, so results are
-    reproducible bit for bit.
+    The terms are added top to bottom starting from 0.0, the order and rounding
+    of a Python loop over the rows (np.sum would pair them).
     """
-    num = 0.0
-    den = 0.0
-    matched: list[tuple[int, float]] = []
-    for index, row in enumerate(labeled_rows):
-        similarity = gower_similarity(row, u, ranges)
-        if similarity > d:
-            num += similarity * row.label
-            den += similarity
-            matched.append((index, similarity))
-    return num, den, matched
+    zero = np.zeros((1, weights.shape[1]))
+    num, den = (
+        np.add.accumulate(np.vstack([zero, terms]), axis=0)[-1].tolist()
+        for terms in (weights * values, weights)
+    )
+    return [n / w if w > 0.0 else None for n, w in zip(num, den)]
 
 
 def unlabeled_votes(
@@ -186,11 +218,10 @@ def unlabeled_votes(
     d: float,
 ) -> list[float | None]:
     """The vote t for every unlabeled row at threshold d (None where undefined)."""
-    _require_valid_labels(labeled)
+    labels = _labels(labeled)
     votes: list[float | None] = []
-    for row in unlabeled.rows:
-        num, den, _ = _vote(row, labeled.rows, ranges, d)
-        votes.append(num / den if den > 0.0 else None)
+    for _, sims in _labeled_blocks(unlabeled, labeled, ranges):
+        votes.extend(_weighted_means(np.where(sims > d, sims, 0.0), labels))
     return votes
 
 
@@ -216,20 +247,16 @@ def calibrate_confidence_threshold(
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
     if votes is None:
         votes = unlabeled_votes(unlabeled, labeled, ranges, d)
-    magnitudes = sorted({abs(t) for t in votes if t is not None}, reverse=True)
-    if not magnitudes:
-        return 1.0
-
-    total = len(unlabeled.rows)
-    defined = [abs(t) for t in votes if t is not None]
-    best = None
-    for candidate in magnitudes:
-        assigned = sum(1 for m in defined if m > candidate)
-        if assigned / total < target_fraction:
-            best = candidate
-        else:
+    magnitudes = sorted((abs(t) for t in votes if t is not None), reverse=True)
+    best = 1.0
+    for assigned, candidate in enumerate(magnitudes):
+        # the rows before a candidate's first copy are the ones with |t| above it
+        if assigned and candidate == magnitudes[assigned - 1]:
+            continue
+        if assigned / len(unlabeled.rows) >= target_fraction:
             break
-    return best if best is not None else 1.0
+        best = candidate
+    return best
 
 
 @dataclass(frozen=True)
@@ -287,62 +314,8 @@ def estimate_label(
     ranges: RangeTable,
     params: SimilarityParams,
 ) -> MatchResult:
-    """Estimate the label of one unlabeled sample and impute its missing features.
-
-    An unmatched sample (no labeled row above d) is a valid abstention, not an
-    error. Imputation runs only for confident estimates and averages each
-    estimation-only feature over the matched contributors that carry it,
-    weighted by similarity.
-    """
-    _require_valid_labels(labeled)
-    labeled_rows = labeled.rows
-    num, den, matched = _vote(u, labeled_rows, ranges, params.d)
-
-    if den == 0.0:
-        return MatchResult(
-            unlabeled_id=u.id,
-            vote=None,
-            estimated_label=0,
-            imputed_features=None,
-            matched_count=0,
-            top_contributors=(),
-        )
-
-    vote = num / den
-    if vote > params.c:
-        label = 1
-    elif vote < -params.c:
-        label = -1
-    else:
-        label = 0
-
-    imputed: dict[str, float | None] | None = None
-    if label != 0:
-        imputed = {}
-        for feature in labeled.schema.estimation_features:
-            f_num = 0.0
-            f_den = 0.0
-            for index, weight in matched:
-                value = labeled_rows[index].features.get(feature)
-                if value is None:
-                    continue
-                f_num += weight * value
-                f_den += weight
-            imputed[feature] = f_num / f_den if f_den > 0.0 else None
-
-    ranked = sorted(matched, key=lambda pair: (-pair[1], pair[0]))
-    top = tuple(
-        (labeled_rows[index].id, similarity)
-        for index, similarity in ranked[:TOP_CONTRIBUTORS_CAP]
-    )
-    return MatchResult(
-        unlabeled_id=u.id,
-        vote=vote,
-        estimated_label=label,
-        imputed_features=imputed,
-        matched_count=len(matched),
-        top_contributors=top,
-    )
+    """Estimate the label of one unlabeled sample: match_batch on that one row."""
+    return match_batch(Dataset(labeled.schema, [u]), labeled, ranges, params)[0]
 
 
 def match_batch(
@@ -352,27 +325,48 @@ def match_batch(
     params: SimilarityParams,
     workers: int = 1,
 ) -> list[MatchResult]:
-    """estimate_label over every unlabeled row, in input order.
+    """Estimate the label of every unlabeled row and impute its missing features, in input order.
 
-    Rows are independent, so the batch is a plain parallel map; any worker
-    count produces results identical to the sequential run.
+    An unmatched sample (no labeled row above d) is a valid abstention, not an
+    error. Imputation runs only for confident estimates and averages each
+    estimation-only feature over the matched contributors that carry it,
+    weighted by similarity. Top contributors are the matched rows by
+    descending similarity, ties in labeled order. `workers` is accepted and
+    changes nothing: the blocks are computed one after another.
     """
     if unlabeled.schema != labeled.schema:
         raise MatcherError("unlabeled and labeled datasets must share a schema")
-    _require_valid_labels(labeled)
-
-    def one(row: Sample) -> MatchResult:
-        try:
-            return estimate_label(row, labeled, ranges, params)
-        except MatcherError:
-            raise
-        except Exception as err:
-            raise MatcherError(f"row {row.id!r}: {err}") from err
-
-    if workers <= 1 or len(unlabeled.rows) <= 1:
-        return [one(row) for row in unlabeled.rows]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, unlabeled.rows))
+    labels = _labels(labeled)
+    ids = labeled.ids()
+    estimation = labeled.schema.estimation_features
+    values = feature_matrix(labeled.rows, estimation)
+    carried = ~np.isnan(values)
+    values = np.where(carried, values, 0.0)
+    results = []
+    for rows, sims in _labeled_blocks(unlabeled, labeled, ranges):
+        matched = sims > params.d
+        votes = _weighted_means(np.where(matched, sims, 0.0), labels)
+        estimates = [0 if t is None else 1 if t > params.c else -1 if t < -params.c else 0 for t in votes]
+        confident = [j for j, label in enumerate(estimates) if label != 0]
+        imputed: dict[int, dict[str, float | None]] = {j: {} for j in confident}
+        for g, feature in enumerate(estimation):
+            weights = np.where(matched[:, confident] & carried[:, g, None], sims[:, confident], 0.0)
+            for j, mean in zip(confident, _weighted_means(weights, values[:, g, None])):
+                imputed[j][feature] = mean
+        counts = matched.sum(axis=0).tolist()
+        order = np.argsort(-sims, axis=0, kind="stable")[:TOP_CONTRIBUTORS_CAP]
+        ranked = np.take_along_axis(sims, order, axis=0)
+        for j, row in enumerate(rows):
+            top = min(counts[j], TOP_CONTRIBUTORS_CAP)
+            results.append(MatchResult(
+                unlabeled_id=row.id,
+                vote=votes[j],
+                estimated_label=estimates[j],
+                imputed_features=imputed.get(j),
+                matched_count=counts[j],
+                top_contributors=tuple(zip([ids[i] for i in order[:top, j]], ranked[:top, j].tolist())),
+            ))
+    return results
 
 
 def matches_to_csv_text(results: Sequence[MatchResult], estimation_features: Sequence[str]) -> str:

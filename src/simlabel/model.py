@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, atomic_write_text, read_json, write_json
+from .dataset import Dataset, Sample, atomic_write_text, feature_matrix, read_json, write_json
 from .errors import ModelError
 
 
@@ -81,11 +81,8 @@ class LinearModel:
         w = np.array([self.weights[f] for f in feats], dtype=np.float64)
         means = np.array([self.feature_means[f] for f in feats], dtype=np.float64)
         scales = np.array([self.feature_scales[f] for f in feats], dtype=np.float64)
-        x = np.empty((len(samples), len(feats)), dtype=np.float64)
-        for i, sample in enumerate(samples):
-            for j, name in enumerate(feats):
-                value = sample.features.get(name)
-                x[i, j] = means[j] if value is None else value
+        x = feature_matrix(samples, feats)
+        x = np.where(np.isnan(x), means, x)
         z = (x - means) / scales if len(feats) else x
         margin = self.intercept + np.einsum("ij,j->i", z, w)
         return _sigmoid(margin)
@@ -199,12 +196,7 @@ def train_logistic(
         raise ModelError("training data must contain both labels (-1 and +1)")
 
     n = len(train.rows)
-    x = np.full((n, len(features)), np.nan, dtype=np.float64)
-    for i, row in enumerate(train.rows):
-        for j, name in enumerate(features):
-            value = row.features.get(name)
-            if value is not None:
-                x[i, j] = value
+    x = feature_matrix(train.rows, features)
 
     kept: list[str] = []
     means: dict[str, float] = {}

@@ -13,16 +13,15 @@ Shell generation splits the total divergence budget (feature count times
 each feature by its share of the budget in a random direction, and clamps to
 the observed feature bounds. Every emitted sample is re-verified against the
 kernel; a draw that fails the constraint is rejected and redrawn. Draws for
-sample i come from a dedicated stream seeded by (seed, i), so output is
-identical no matter how the work is scheduled.
+sample i come from a dedicated stream seeded by (seed, i), so sample i does
+not depend on how many samples are drawn.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -142,7 +141,10 @@ def similarity_shell(
     seed: int,
     workers: int = 1,
 ) -> list[ShellSample]:
-    """Draw n perturbations of the vary features with Gower similarity >= d to base."""
+    """Draw n perturbations of the vary features with Gower similarity >= d to base.
+
+    `workers` is accepted and changes nothing: the draws run one after another.
+    """
     if not vary:
         raise ProbeError("similarity_shell needs a non-empty vary set")
     unknown = [f for f in vary if f not in ranges.ranges]
@@ -185,11 +187,7 @@ def similarity_shell(
             f"{MAX_SHELL_ATTEMPTS} attempts (index {index})"
         )
 
-    indexes = range(n)
-    if workers <= 1 or n <= 1:
-        return [draw(i) for i in indexes]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(draw, indexes))
+    return [draw(i) for i in range(n)]
 
 
 def score_shell(
@@ -199,13 +197,11 @@ def score_shell(
     class_threshold: float = 0.5,
 ) -> tuple[float, list[ShellSample]]:
     """Attach model scores and boundary-crossing flags; returns (base score, shell)."""
-    scorer = _as_scorer(model)
-    scores = np.asarray(scorer([base] + [s.sample for s in shell]), dtype=np.float64)
-    base_score = float(scores[0])
+    base_score, scores = _shell_scores(model, base, shell)
     base_class = classify(base_score, class_threshold)
     scored = [
-        replace(entry, score=float(score), crossed=classify(float(score), class_threshold) != base_class)
-        for entry, score in zip(shell, scores[1:])
+        replace(entry, score=score, crossed=classify(score, class_threshold) != base_class)
+        for entry, score in zip(shell, scores)
     ]
     return base_score, scored
 
@@ -253,32 +249,12 @@ class RecourseReport:
     message: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "base_id": self.base_id,
-            "base_score": self.base_score,
-            "base_class": self.base_class,
-            "class_threshold": self.class_threshold,
-            "shell_size": self.shell_size,
-            "crossed_count": self.crossed_count,
-            "recourse_found": self.recourse_found,
-            "best_id": self.best_id,
-            "best_similarity": self.best_similarity,
-            "best_score": self.best_score,
-            "best_class": self.best_class,
-            "deltas": self.deltas,
-            "target_values": self.target_values,
-            "max_score_rate": self.max_score_rate,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def _shell_scores(model_or_scores, base: Sample, shell: Sequence[ShellSample]) -> tuple[float, list[float]]:
-    if isinstance(model_or_scores, ScoreFile) or isinstance(model_or_scores, Mapping):
-        lookup = (
-            model_or_scores.scores_by_id()
-            if isinstance(model_or_scores, ScoreFile)
-            else dict(model_or_scores)
-        )
+    lookup = model_or_scores.scores_by_id() if isinstance(model_or_scores, ScoreFile) else model_or_scores
+    if isinstance(lookup, Mapping):
         wanted = [base.id] + [entry.sample.id for entry in shell]
         missing = [sample_id for sample_id in wanted if sample_id not in lookup]
         if missing:

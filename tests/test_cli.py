@@ -250,11 +250,16 @@ class TestCliRobustness:
         schema = load_schema(fx["schema"])
         n_train = len(load_dataset(fx["out"] / "train.csv", schema))
         n_pool = len(load_dataset(fx["unlabeled"], schema))
-        calls = []
-        real = simlabel.matcher.gower_similarity
-        monkeypatch.setattr(simlabel.matcher, "gower_similarity", lambda *a: calls.append(1) or real(*a))
+        pairs = []
+        real = simlabel.matcher.similarity_block
+
+        def counted(left, right, ranges):
+            pairs.append(len(left) * len(right))
+            return real(left, right, ranges)
+
+        monkeypatch.setattr(simlabel.matcher, "similarity_block", counted)
         assert main(["calibrate", "--config", str(fx["config"])]) == 0
-        assert len(calls) == n_train * (n_train - 1) // 2 + n_train * n_pool
+        assert sum(pairs) == n_train * (n_train - 1) // 2 + n_train * n_pool
 
     def test_calibrate_with_one_train_row_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
@@ -278,6 +283,25 @@ class TestCliRobustness:
         capsys.readouterr()
         assert main([command, "--config", str(fx["config"])]) == 1
         assert artifact in one_error_line(capsys)["message"]
+
+    def test_unwritable_out_dir_exits_cleanly(self, tmp_path, capsys):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        occupied = tmp_path / "occupied"
+        occupied.write_text("a file, not a directory", encoding="utf-8")
+        assert main(["split", "--config", str(fx["config"]), "--out-dir", str(occupied)]) == 1
+        assert str(occupied) in one_error_line(capsys)["message"]
+
+    def test_mixed_timestamp_offsets_exit_cleanly(self, tmp_path, capsys):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        lines = fx["labeled"].read_text(encoding="utf-8").splitlines()
+        ts = lines[0].split(",").index("ts")
+        cells = lines[3].split(",")
+        cells[ts] += "+02:00"
+        lines[3] = ",".join(cells)
+        fx["labeled"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["split", "--config", str(fx["config"])]) == 1
+        message = one_error_line(capsys)["message"]
+        assert "row 3:" in message and "offset-aware, unlike row 1's" in message
 
     def test_bad_workers_env_var_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
 from oracles import gower_oracle
-from simlabel.dataset import Dataset
+from simlabel.dataset import Dataset, feature_matrix
 from simlabel.errors import KernelError
 from simlabel.kernel import (
     RangeTable,
@@ -18,6 +18,7 @@ from simlabel.kernel import (
     gower_similarity,
     load_range_table,
     save_range_table,
+    similarity_block,
 )
 
 
@@ -185,7 +186,43 @@ def sample_pair_with_ranges(draw):
     )
 
 
+@st.composite
+def rows_with_ranges(draw):
+    """Two row sets over up to 5 features with missing cells, repeated values and
+    zero spreads, and a range table narrower than the values it is used on."""
+    names = draw(st.permutations([f"f{i}" for i in range(draw(st.integers(1, 5)))]))
+    spreads = st.sampled_from([0.0, 0.5, 2.0]) | st.floats(0.0, 10.0)
+    ranges = {name: draw(spreads) for name in names}
+    cell = st.none() | st.sampled_from([0.0, 1.0, -2.5]) | st.floats(-20.0, 20.0)
+
+    def rows(prefix):
+        return [
+            make_sample(f"{prefix}{i}", {n: v for n in names if (v := draw(cell)) is not None})
+            for i in range(draw(st.integers(0, 4)))
+        ]
+
+    bounds = {name: (0.0, spread) for name, spread in ranges.items()}
+    return rows("a"), rows("b"), RangeTable(ranges=ranges, bounds=bounds)
+
+
 class TestKernelProperties:
+    @given(rows_with_ranges())
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_scalar_kernel(self, case):
+        left, right, ranges = case
+        names = ranges.features()
+        block = similarity_block(feature_matrix(left, names), feature_matrix(right, names), ranges)
+        assert block.shape == (len(left), len(right))
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                try:
+                    expected = gower_similarity(a, b, ranges)
+                except KernelError:
+                    assert math.isnan(block[i, j])
+                else:
+                    assert block[i, j] == expected
+
+
     @given(sample_pair_with_ranges())
     @settings(max_examples=150, deadline=None)
     def test_symmetry_and_bounds(self, pair):

@@ -6,6 +6,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+import simlabel.matcher
 from conftest import T0, make_sample, make_schema, random_instance
 from oracles import gower_oracle, match_oracle
 from simlabel.dataset import Dataset
@@ -252,6 +253,12 @@ class TestEstimateLabel:
         assert sims == sorted(sims, reverse=True)
         assert result.top_contributors[0][0] == "l0"
 
+    def test_top_contributor_ties_keep_labeled_order(self):
+        labeled = labeled_line([(0.02 if i % 3 else 0.01, 1) for i in range(40)])
+        result = estimate_label(make_sample("u", {"f0": 0.0}), labeled, LINE, SimilarityParams(d=0.5, c=0.1))
+        expected = [f"l{i}" for i in range(0, 40, 3)][:10]
+        assert [cid for cid, _ in result.top_contributors] == expected
+
     def test_invalid_labels_rejected(self):
         rows = [make_sample("l0", {"f0": 0.0})]  # unlabeled row in the labeled set
         data = Dataset(SCHEMA_1D, rows)
@@ -284,6 +291,27 @@ class TestMatchBatch:
             for workers in (1, 2, 8)
         }
         assert texts[1] == texts[2] == texts[8]
+
+    def test_block_size_never_changes_results(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        for n_labeled in (3, 15):  # 2 unlabeled rows a block, then 1 with a split pairs pass
+            _, labeled, unlabeled, ranges = random_instance(
+                rng, n_labeled=n_labeled, n_unlabeled=23, missing_rate=0.3
+            )
+            params = SimilarityParams(d=0.3, c=0.1)
+
+            def passes():
+                return (
+                    match_batch(unlabeled, labeled, ranges, params),
+                    unlabeled_votes(unlabeled, labeled, ranges, params.d),
+                    pairwise_similarities(labeled, ranges),
+                )
+
+            default = passes()
+            assert any(result.imputed_features for result in default[0])
+            monkeypatch.setattr(simlabel.matcher, "BLOCK_PAIRS", 7)
+            assert passes() == default
+            monkeypatch.undo()
 
     def test_schema_mismatch_rejected(self):
         labeled = labeled_line([(0.0, 1), (1.0, -1)])
