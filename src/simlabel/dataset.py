@@ -4,6 +4,9 @@ Input files are UTF-8 comma-separated text with a single header row. Column
 roles come from a separate JSON config mapping column name to role. Missing
 cells are empty strings (the schema is numeric-only, so this is unambiguous),
 labels are strictly -1 or +1 integers, and timestamps are ISO-8601.
+
+Every CSV file is read through `read_csv` and written through `csv_text`, and
+every JSON artifact is written through `write_json`.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,6 +129,46 @@ def read_json(path: str | Path, error: type[SimlabelError], what: str):
         raise error(f"{what} {path} is not valid JSON: {err}") from err
 
 
+def _cell(value: float | None) -> str:
+    # repr() of a builtin float is the shortest round-tripping form, so written
+    # values reload exactly; float() strips numpy scalar types first
+    return "" if value is None else repr(float(value))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The CSV artifact format: one header row, then the rows, each ending in "\\n".
+
+    Cells are strings, ints or None (written as an empty cell); float cells go
+    through `_cell` first, so every writer shares one float rule.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:
+    """Stream a UTF-8 CSV file as (0, header), then (n, cells) for data row n = 1, 2, ...
+
+    A missing or empty file, bytes that are not UTF-8, or text the csv module
+    rejects raise `error` naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise error(f"{what} not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise error(f"{path}: file is empty, expected a header row")
+            yield 0, header
+            yield from enumerate(reader, start=1)
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise error(f"{what} {path} is not valid UTF-8 CSV: {err}") from err
+
+
 def load_schema(path: str | Path) -> FeatureSchema:
     """Read a schema config: a JSON object mapping column name to role."""
     mapping = read_json(path, SchemaError, "schema file")
@@ -197,112 +240,97 @@ def load_dataset(
     that labeled rows carry all similarity features; merged and similar
     datasets written by this package may legitimately lack some.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"dataset file not found: {path}")
+    lines = read_csv(path, DataError, "dataset file")
+    _, header = next(lines)
+    missing_cols = [name for name, _ in schema.columns if name not in header]
+    if missing_cols:
+        raise DataError(
+            f"{path}: header is missing schema columns: {', '.join(missing_cols)}"
+        )
+    id_at, ts_at, label_at = (
+        header.index(name) for name in (schema.id_column, schema.timestamp_column, schema.label_column)
+    )
+    feature_at = [(name, header.index(name)) for name in schema.feature_columns]
+    sim_features = schema.similarity_features
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty, expected a header row") from None
-        needed = [name for name, _ in schema.columns]
-        missing_cols = [name for name in needed if name not in header]
-        if missing_cols:
-            raise DataError(
-                f"{path}: header is missing schema columns: {', '.join(missing_cols)}"
+    rows: list[Sample] = []
+    violations: list[str] = []
+    seen_ids: dict[str, int] = {}
+    first_aware: tuple[int, bool] | None = None  # (row, whether its timestamp has an offset)
+    for row_num, cells in lines:
+        if len(cells) != len(header):
+            violations.append(
+                f"row {row_num}: expected {len(header)} columns, found {len(cells)}"
             )
-        col_index = {name: header.index(name) for name in needed}
+            continue
 
-        id_col = schema.id_column
-        ts_col = schema.timestamp_column
-        label_col = schema.label_column
-        sim_features = schema.similarity_features
+        ok = True
+        sample_id = cells[id_at].strip()
+        if not sample_id:
+            violations.append(f"row {row_num}: empty id")
+            ok = False
+        elif sample_id in seen_ids:
+            violations.append(
+                f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen_ids[sample_id]})"
+            )
+            ok = False
+        else:
+            seen_ids[sample_id] = row_num
 
-        rows: list[Sample] = []
-        violations: list[str] = []
-        seen_ids: dict[str, int] = {}
-        first_aware: tuple[int, bool] | None = None  # (row, whether its timestamp has an offset)
-        for row_num, cells in enumerate(reader, start=1):
-            if len(cells) != len(header):
-                violations.append(
-                    f"row {row_num}: expected {len(header)} columns, found {len(cells)}"
-                )
-                continue
-
-            def cell(name: str) -> str:
-                return cells[col_index[name]].strip()
-
-            ok = True
-            sample_id = cell(id_col)
-            if not sample_id:
-                violations.append(f"row {row_num}: empty id")
+        timestamp = None
+        ts_text = cells[ts_at].strip()
+        try:
+            timestamp = datetime.fromisoformat(ts_text)
+        except ValueError:
+            violations.append(
+                f"row {row_num}: timestamp {ts_text!r} is not ISO-8601"
+            )
+            ok = False
+        else:
+            # naive and offset-aware datetimes cannot be ordered against each other
+            aware = timestamp.tzinfo is not None
+            first_aware = first_aware or (row_num, aware)
+            if aware != first_aware[1]:
+                kind = "offset-aware" if aware else "naive"
+                violations.append(f"row {row_num}: timestamp {ts_text!r} is {kind}, unlike row {first_aware[0]}'s")
                 ok = False
-            elif sample_id in seen_ids:
-                violations.append(
-                    f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen_ids[sample_id]})"
-                )
-                ok = False
-            else:
-                seen_ids[sample_id] = row_num
 
-            timestamp = None
-            ts_text = cell(ts_col)
+        label: int | None = None
+        label_text = cells[label_at].strip()
+        if label_text:
             try:
-                timestamp = datetime.fromisoformat(ts_text)
+                label = int(label_text)
+            except ValueError:
+                label = None
+            if label not in (-1, 1):
+                violations.append(
+                    f"row {row_num}: label must be -1 or +1, got {label_text!r}"
+                )
+                ok = False
+
+        features: dict[str, float] = {}
+        for name, at in feature_at:
+            text = cells[at].strip()
+            if not text:
+                continue
+            try:
+                features[name] = _parse_feature(text, name)
             except ValueError:
                 violations.append(
-                    f"row {row_num}: timestamp {ts_text!r} is not ISO-8601"
+                    f"row {row_num}: column {name!r} is not a finite number: {text!r}"
                 )
                 ok = False
-            else:
-                # naive and offset-aware datetimes cannot be ordered against each other
-                aware = timestamp.tzinfo is not None
-                first_aware = first_aware or (row_num, aware)
-                if aware != first_aware[1]:
-                    kind = "offset-aware" if aware else "naive"
-                    violations.append(f"row {row_num}: timestamp {ts_text!r} is {kind}, unlike row {first_aware[0]}'s")
-                    ok = False
 
-            label: int | None = None
-            label_text = cell(label_col)
-            if label_text:
-                try:
-                    label = int(label_text)
-                except ValueError:
-                    label = None
-                if label not in (-1, 1):
-                    violations.append(
-                        f"row {row_num}: label must be -1 or +1, got {label_text!r}"
-                    )
-                    ok = False
+        if ok and strict_labeled and label is not None:
+            absent = [f for f in sim_features if f not in features]
+            if absent:
+                violations.append(
+                    f"row {row_num}: labeled row missing similarity features: {', '.join(absent)}"
+                )
+                ok = False
 
-            features: dict[str, float] = {}
-            for name, role in schema.columns:
-                if role not in (Role.SIMILARITY, Role.ESTIMATION):
-                    continue
-                text = cell(name)
-                if not text:
-                    continue
-                try:
-                    features[name] = _parse_feature(text, name)
-                except ValueError:
-                    violations.append(
-                        f"row {row_num}: column {name!r} is not a finite number: {text!r}"
-                    )
-                    ok = False
-
-            if ok and strict_labeled and label is not None:
-                absent = [f for f in sim_features if f not in features]
-                if absent:
-                    violations.append(
-                        f"row {row_num}: labeled row missing similarity features: {', '.join(absent)}"
-                    )
-                    ok = False
-
-            if ok:
-                rows.append(Sample(id=sample_id, timestamp=timestamp, features=features, label=label))
+        if ok:
+            rows.append(Sample(id=sample_id, timestamp=timestamp, features=features, label=label))
 
     if violations:
         shown = "; ".join(violations)
@@ -310,37 +338,27 @@ def load_dataset(
     return Dataset(schema=schema, rows=rows, provenance=str(path))
 
 
-def _format_value(value: float) -> str:
-    # repr() of a builtin float is the shortest round-tripping form, so written
-    # values reload exactly; float() strips numpy scalar types first
-    return repr(float(value))
-
-
 def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
     header = [name for name, _ in data.schema.columns]
     if include_provenance:
-        header = header + list(PROVENANCE_COLUMNS)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in data.rows:
-        cells = []
+        header += PROVENANCE_COLUMNS
+
+    def cells(row: Sample) -> list:
+        line = []
         for name, role in data.schema.columns:
             if role is Role.ID:
-                cells.append(row.id)
+                line.append(row.id)
             elif role is Role.TIMESTAMP:
-                cells.append(row.timestamp.isoformat())
+                line.append(row.timestamp.isoformat())
             elif role is Role.LABEL:
-                cells.append("" if row.label is None else str(row.label))
+                line.append(row.label)
             else:
-                value = row.features.get(name)
-                cells.append("" if value is None else _format_value(value))
+                line.append(_cell(row.features.get(name)))
         if include_provenance:
-            cells.append(row.source)
-            cells.append("" if row.vote is None else _format_value(row.vote))
-            cells.append("" if row.matched_count is None else str(row.matched_count))
-        writer.writerow(cells)
-    return buf.getvalue()
+            line += [row.source, _cell(row.vote), row.matched_count]
+        return line
+
+    return csv_text(header, map(cells, data.rows))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

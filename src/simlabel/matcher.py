@@ -16,8 +16,6 @@ that of a per-pair loop bit for bit, whatever the block size.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, feature_matrix, read_json, write_json
+from .dataset import Dataset, Sample, _cell, csv_text, feature_matrix, read_csv, read_json, write_json
 from .errors import KernelError, MatcherError
 from .kernel import RangeTable, similarity_block
 
@@ -371,65 +369,50 @@ def match_batch(
 
 def matches_to_csv_text(results: Sequence[MatchResult], estimation_features: Sequence[str]) -> str:
     """Delimited match output: id, t, y_hat, matched_count, then imputed columns."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "t", "y_hat", "matched_count", *estimation_features])
-    for result in results:
-        cells = [
-            result.unlabeled_id,
-            "" if result.vote is None else repr(float(result.vote)),
-            str(result.estimated_label),
-            str(result.matched_count),
-        ]
-        for feature in estimation_features:
-            value = None if result.imputed_features is None else result.imputed_features.get(feature)
-            cells.append("" if value is None else repr(float(value)))
-        writer.writerow(cells)
-    return buf.getvalue()
+
+    def cells(result: MatchResult) -> list:
+        imputed = result.imputed_features or {}
+        return [result.unlabeled_id, _cell(result.vote), result.estimated_label, result.matched_count,
+                *(_cell(imputed.get(feature)) for feature in estimation_features)]
+
+    return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], map(cells, results))
 
 
 def load_matches(path: str | Path, estimation_features: Sequence[str]) -> list[MatchResult]:
     """Read a match CSV back into results (contributor details live in the sidecar)."""
-    path = Path(path)
-    if not path.exists():
-        raise MatcherError(f"match file not found: {path}")
     expected = ["id", "t", "y_hat", "matched_count", *estimation_features]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines = read_csv(path, MatcherError, "match file")
+    _, header = next(lines)
+    if header != expected:
+        raise MatcherError(f"{path}: unexpected header {header}, wanted {expected}")
+    results = []
+    for row_num, cells in lines:
+        if len(cells) != len(expected):
+            raise MatcherError(f"{path}: row {row_num} has {len(cells)} columns")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MatcherError(f"{path}: file is empty") from None
-        if header != expected:
-            raise MatcherError(f"{path}: unexpected header {header}, wanted {expected}")
-        results = []
-        for row_num, cells in enumerate(reader, start=1):
-            if len(cells) != len(expected):
-                raise MatcherError(f"{path}: row {row_num} has {len(cells)} columns")
-            try:
-                vote = float(cells[1]) if cells[1] else None
-                label = int(cells[2])
-                matched_count = int(cells[3])
-                imputed: dict[str, float | None] | None
-                if label == 0:
-                    imputed = None
-                else:
-                    imputed = {
-                        name: (float(text) if text else None)
-                        for name, text in zip(estimation_features, cells[4:])
-                    }
-            except ValueError as err:
-                raise MatcherError(f"{path}: row {row_num}: {err}") from err
-            results.append(
-                MatchResult(
-                    unlabeled_id=cells[0],
-                    vote=vote,
-                    estimated_label=label,
-                    imputed_features=imputed,
-                    matched_count=matched_count,
-                    top_contributors=(),
-                )
+            vote = float(cells[1]) if cells[1] else None
+            label = int(cells[2])
+            matched_count = int(cells[3])
+            imputed: dict[str, float | None] | None
+            if label == 0:
+                imputed = None
+            else:
+                imputed = {
+                    name: (float(text) if text else None)
+                    for name, text in zip(estimation_features, cells[4:])
+                }
+        except ValueError as err:
+            raise MatcherError(f"{path}: row {row_num}: {err}") from err
+        results.append(
+            MatchResult(
+                unlabeled_id=cells[0],
+                vote=vote,
+                estimated_label=label,
+                imputed_features=imputed,
+                matched_count=matched_count,
+                top_contributors=(),
             )
+        )
     return results
 
 

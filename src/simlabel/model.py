@@ -12,8 +12,6 @@ two-column delimited format (id, score in [0, 1]).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -22,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, atomic_write_text, feature_matrix, read_json, write_json
+from .dataset import Dataset, Sample, _cell, atomic_write_text, csv_text, feature_matrix, read_csv
+from .dataset import read_json, write_json
 from .errors import ModelError
 
 
@@ -294,12 +293,7 @@ class ScoreFile:
         return dict(self.rows)
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["id", "score"])
-        for sample_id, score in self.rows:
-            writer.writerow([sample_id, repr(score)])
-        return buf.getvalue()
+        return csv_text(["id", "score"], ((sample_id, _cell(score)) for sample_id, score in self.rows))
 
 
 def predict_scores(model: LinearModel, data: Dataset, model_name: str = "logistic regression") -> ScoreFile:
@@ -315,44 +309,37 @@ def save_scores(scores: ScoreFile, path: str | Path) -> None:
 
 def load_external_scores(path: str | Path, model_name: str | None = None) -> ScoreFile:
     """Read and validate an id,score file produced by any classifier."""
-    path = Path(path)
-    if not path.exists():
-        raise ModelError(f"score file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    lines = read_csv(path, ModelError, "score file")
+    _, header = next(lines)
+    if [h.strip() for h in header] != ["id", "score"]:
+        raise ModelError(f"{path}: header must be exactly 'id,score', got {header}")
+    rows: list[tuple[str, float]] = []
+    violations: list[str] = []
+    seen: dict[str, int] = {}
+    for row_num, cells in lines:
+        if len(cells) != 2:
+            violations.append(f"row {row_num}: expected 2 columns, found {len(cells)}")
+            continue
+        sample_id, score_text = cells[0].strip(), cells[1].strip()
+        if not sample_id:
+            violations.append(f"row {row_num}: empty id")
+            continue
+        if sample_id in seen:
+            violations.append(
+                f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen[sample_id]})"
+            )
+            continue
+        seen[sample_id] = row_num
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ModelError(f"{path}: file is empty, expected an id,score header") from None
-        if [h.strip() for h in header] != ["id", "score"]:
-            raise ModelError(f"{path}: header must be exactly 'id,score', got {header}")
-        rows: list[tuple[str, float]] = []
-        violations: list[str] = []
-        seen: dict[str, int] = {}
-        for row_num, cells in enumerate(reader, start=1):
-            if len(cells) != 2:
-                violations.append(f"row {row_num}: expected 2 columns, found {len(cells)}")
-                continue
-            sample_id, score_text = cells[0].strip(), cells[1].strip()
-            if not sample_id:
-                violations.append(f"row {row_num}: empty id")
-                continue
-            if sample_id in seen:
-                violations.append(
-                    f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen[sample_id]})"
-                )
-                continue
-            seen[sample_id] = row_num
-            try:
-                score = float(score_text)
-            except ValueError:
-                violations.append(f"row {row_num}: score is not numeric: {score_text!r}")
-                continue
-            if not math.isfinite(score) or not 0.0 <= score <= 1.0:
-                violations.append(f"row {row_num}: score outside [0, 1]: {score_text}")
-                continue
-            rows.append((sample_id, score))
+            score = float(score_text)
+        except ValueError:
+            violations.append(f"row {row_num}: score is not numeric: {score_text!r}")
+            continue
+        if not math.isfinite(score) or not 0.0 <= score <= 1.0:
+            violations.append(f"row {row_num}: score outside [0, 1]: {score_text}")
+            continue
+        rows.append((sample_id, score))
     if violations:
         raise ModelError(f"{path}: {len(violations)} invalid rows: {'; '.join(violations)}")
-    name = model_name if model_name is not None else path.stem
+    name = model_name if model_name is not None else Path(path).stem
     return ScoreFile(rows=tuple(rows), model_name=name)

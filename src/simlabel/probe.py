@@ -19,15 +19,13 @@ not depend on how many samples are drawn.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Sample, write_json
+from .dataset import Sample, _cell, csv_text, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, gower_similarity
@@ -58,13 +56,11 @@ class ProbeGrid:
     probabilities: np.ndarray  # shape (len(x_values), len(y_values))
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([self.feature_x, self.feature_y, "score"])
-        for i, x in enumerate(self.x_values):
-            for j, y in enumerate(self.y_values):
-                writer.writerow([repr(x), repr(y), repr(float(self.probabilities[i, j]))])
-        return buf.getvalue()
+        return csv_text([self.feature_x, self.feature_y, "score"], (
+            (_cell(x), _cell(y), _cell(self.probabilities[i, j]))
+            for i, x in enumerate(self.x_values)
+            for j, y in enumerate(self.y_values)
+        ))
 
 
 def probability_grid(
@@ -208,19 +204,14 @@ def score_shell(
 
 def shell_to_csv_text(shell: Sequence[ShellSample], feature_names: Sequence[str]) -> str:
     """Long-format shell output: coordinates, similarity, score, crossed flag."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", *feature_names, "similarity", "score", "crossed"])
-    for entry in shell:
-        cells = [entry.sample.id]
-        for name in feature_names:
-            value = entry.sample.features.get(name)
-            cells.append("" if value is None else repr(float(value)))
-        cells.append(repr(float(entry.similarity)))
-        cells.append("" if entry.score is None else repr(float(entry.score)))
-        cells.append("" if entry.crossed is None else ("1" if entry.crossed else "0"))
-        writer.writerow(cells)
-    return buf.getvalue()
+
+    def cells(entry: ShellSample) -> list:
+        features = entry.sample.features
+        crossed = None if entry.crossed is None else int(entry.crossed)
+        return [entry.sample.id, *(_cell(features.get(name)) for name in feature_names),
+                _cell(entry.similarity), _cell(entry.score), crossed]
+
+    return csv_text(["id", *feature_names, "similarity", "score", "crossed"], map(cells, shell))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """CLI pipeline tests: artifacts, error paths, determinism, input immutability."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
@@ -8,9 +10,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import simlabel.matcher
-from conftest import write_pipeline_fixture
+from conftest import make_schema, write_pipeline_fixture
 from oracles import gower_oracle
 from simlabel.cli import OPTIONS, build_parser, load_config, main
 from simlabel.dataset import load_dataset, load_schema
@@ -308,6 +312,68 @@ class TestCliRobustness:
         monkeypatch.setenv("SIMLABEL_WORKERS", "x")
         assert main(["split", "--config", str(fx["config"])]) == 1
         assert "SIMLABEL_WORKERS" in one_error_line(capsys)["message"]
+
+    # a UTF-16 byte-order mark before the header, or a Latin-1 cell after the valid rows
+    @pytest.mark.parametrize("bad, at_start", [(b"\xff\xfe", True), (b"caf\xe9\n", False)],
+                             ids=["bom-first", "latin1-last"])
+    @pytest.mark.parametrize("name, command", [
+        ("labeled.csv", "split"),
+        ("out/match_train.csv", "augment"),
+        ("external.csv", "evaluate"),
+    ])
+    def test_csv_that_is_not_utf8_exits_cleanly(self, tmp_path, capsys, name, command, bad, at_start):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60, extra_config={
+            "evaluate": {"external_scores": [{"name": "external", "path": "external.csv"}]},
+        })
+        (tmp_path / "external.csv").write_text("id,score\nl0000,0.5\n", encoding="utf-8")
+        for step in PIPELINE[:PIPELINE.index(command)]:
+            assert main([step, "--config", str(fx["config"])]) == 0
+        path = tmp_path / name
+        path.write_bytes(bad + path.read_bytes() if at_start else path.read_bytes() + bad)
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"])]) == 1
+        message = one_error_line(capsys)["message"]
+        assert str(path) in message and "UTF-8" in message
+
+
+# arbitrary bytes, a valid header followed by arbitrary bytes, or text built from
+# the characters a CSV row of this schema is made of
+CSV_HEADER = b"uid,ts,y,f0,f1,g0\n"
+CSV_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.binary(max_size=200).map(lambda tail: CSV_HEADER + tail),
+    st.text("uidtsyfg0123456789,+-.:eET\"\n\r naif", max_size=300).map(
+        lambda text: CSV_HEADER + text.encode("utf-8")
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    target = tmp_path_factory.mktemp("fuzz")
+    (target / "schema.json").write_text(json.dumps(make_schema(2, 1).to_mapping()), encoding="utf-8")
+    (target / "config.json").write_text(json.dumps({
+        "schema": "schema.json", "labeled": "labeled.csv", "unlabeled": "unlabeled.csv",
+        "out_dir": "out", "split": {"test_fraction": 0.2},
+    }), encoding="utf-8")
+    return target
+
+
+@given(labeled=CSV_BYTES, unlabeled=CSV_BYTES)
+@settings(max_examples=100, deadline=None)
+def test_any_csv_bytes_give_success_or_one_json_error_line(fuzz_inputs, labeled, unlabeled):
+    (fuzz_inputs / "labeled.csv").write_bytes(labeled)
+    (fuzz_inputs / "unlabeled.csv").write_bytes(unlabeled)
+    for command in ("split", "ranges"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(fuzz_inputs / "config.json")])
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code == 1 and len(lines) == 1, lines
+            assert json.loads(lines[0])["status"] == "error"
 
 
 # option kind -> (config value, flag arguments, value read from the config, value read from the flag)

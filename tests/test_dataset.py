@@ -166,19 +166,38 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope.csv", SCHEMA)
 
+    def test_empty_file(self, tmp_path):
+        with pytest.raises(DataError, match="empty"):
+            load_dataset(write(tmp_path, ""), SCHEMA)
+
+    @pytest.mark.parametrize("body", [b"\xff\xfe", b"a," + b"9" * 200_000 + b"\n"],
+                             ids=["not-utf8", "field-over-csv-limit"])
+    def test_unreadable_csv_names_the_file(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_bytes(HEADER.encode("utf-8") + body)
+        with pytest.raises(DataError, match="data.csv is not valid UTF-8 CSV"):
+            load_dataset(path, SCHEMA)
+
     def test_roundtrip_values_identical(self, tmp_path):
         path = write(
             tmp_path,
             HEADER
             + "a,2024-01-01T00:00:00,1,0.1,2.5000000000000004,7e-20\n"
-            + "b,2024-01-02T12:34:56,-1,-3.25,0.30000000000000004,\n",
+            + "b,2024-01-02T12:34:56,-1,-3.25,0.30000000000000004,\n"
+            + "c,2024-01-03T00:00:00,1,-0.0,5e-324,1.7976931348623157e308\n",
         )
         first = load_dataset(path, SCHEMA)
+        assert math.copysign(1.0, first.rows[2].features["f0"]) == -1.0
         out = tmp_path / "copy.csv"
         write_dataset(first, out)
         second = load_dataset(out, SCHEMA)
+        assert len(second) == 3
         for row_a, row_b in zip(first.rows, second.rows):
             assert row_a.features == row_b.features
+            # -0.0 == 0.0, so the sign of each value is compared on its own
+            assert [math.copysign(1.0, v) for v in row_a.features.values()] == [
+                math.copysign(1.0, v) for v in row_b.features.values()
+            ]
             assert row_a.label == row_b.label
             assert row_a.timestamp == row_b.timestamp
 
