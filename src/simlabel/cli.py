@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -81,7 +82,7 @@ OPTIONS = (
     Option("train", "max_iter", "--max-iter", "int", 500, ("train",)),
     Option("train", "tol", "--tol", "float", 1e-8, ("train",)),
     Option("train", "features", None, "names"),
-    Option("evaluate", "class_threshold", "--class-threshold", "float", 0.5, ("evaluate",)),
+    Option("evaluate", "class_threshold", "--class-threshold", "unit", 0.5, ("evaluate",)),
     Option("evaluate", "external_scores", None, "scores", ()),
     Option(None, None, "--model", "path", None, PROBES, help="model JSON (default: model_plain.json)"),
     Option("probe", "sample_id", "--sample-id", "str", None, PROBES),
@@ -97,6 +98,13 @@ OPTIONS = (
 )
 
 
+def _int(value, base: Path) -> int:
+    """An integer; a number that is not whole (2.5, inf, nan) is refused, not truncated."""
+    if not isinstance(value, str) and not float(value).is_integer():
+        raise ValueError(value)
+    return int(value)
+
+
 def _unit(value, base: Path) -> float:
     value = float(value)
     if not 0.0 <= value <= 1.0:
@@ -107,7 +115,10 @@ def _unit(value, base: Path) -> float:
 def _axis(value, base: Path) -> tuple[float, float, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 3:
         raise ValueError(value)
-    return (float(value[0]), float(value[1]), int(value[2]))
+    low, high = float(value[0]), float(value[1])
+    if not math.isfinite(low) or not math.isfinite(high):
+        raise ValueError(value)
+    return (low, high, _int(value[2], base))
 
 
 def _names(value, base: Path) -> list[str] | None:
@@ -124,7 +135,7 @@ def _scores(value, base: Path) -> list[tuple[str, Path]]:
 # kind -> (parse(value, directory that relative paths start from), what a value
 # must be, how argparse reads the flag)
 KINDS = {
-    "int": (lambda value, base: int(value), "an integer", {"type": int}),
+    "int": (_int, "an integer", {"type": int}),
     "float": (lambda value, base: float(value), "a number", {"type": float}),
     "unit": (_unit, "a number in [0, 1]", {"type": float}),
     "str": (lambda value, base: str(value), "a string", {}),
@@ -148,7 +159,7 @@ def _resolve(option: Option, args: argparse.Namespace, section: dict, config_pat
         parse, must_be, _ = KINDS[option.kind]
         try:
             return parse(value, base)
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{option.name} must be {must_be}, got {value!r} from {source}") from err
     return option.default
 

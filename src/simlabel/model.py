@@ -36,6 +36,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tol)):
+            raise ModelError(f"l1, l2 and tol must be finite, got {self.l1}, {self.l2} and {self.tol}")
         if self.l1 < 0 or self.l2 < 0:
             raise ModelError("regularization strengths must be non-negative")
         if self.max_iter < 1:
@@ -70,17 +72,20 @@ class LinearModel:
         return tuple(self.weights)
 
     def score_samples(self, samples: Sequence[Sample]) -> np.ndarray:
-        """Scores in (0, 1), one per sample, missing cells imputed with train means.
+        """Independent scores in (0, 1), one per sample: `score_matrix` of their feature matrix."""
+        return self.score_matrix(feature_matrix(samples, self.features))
 
-        Each row is scored independently (the matrix product is an einsum, one
-        sequential sum per row), so a sample's score does not depend on what
-        else is in the batch.
+    def score_matrix(self, x: np.ndarray) -> np.ndarray:
+        """Scores in (0, 1), one per row of x, missing (NaN) cells imputed with train means.
+
+        The columns of x are `features`, in that order. Each row is scored
+        independently (the matrix product is an einsum, one sequential sum per
+        row), so a row's score does not depend on what else is in the batch.
         """
         feats = self.features
         w = np.array([self.weights[f] for f in feats], dtype=np.float64)
         means = np.array([self.feature_means[f] for f in feats], dtype=np.float64)
         scales = np.array([self.feature_scales[f] for f in feats], dtype=np.float64)
-        x = feature_matrix(samples, feats)
         x = np.where(np.isnan(x), means, x)
         z = (x - means) / scales if len(feats) else x
         margin = self.intercept + np.einsum("ij,j->i", z, w)

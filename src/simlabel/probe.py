@@ -8,6 +8,10 @@ points the model classifies differently answers whether recourse exists
 within that similarity, and the closest such point doubles as a candidate
 action list.
 
+The grid (one feature matrix) and `score_shell` score with a `LinearModel`;
+`recourse_probe` also takes an id -> score mapping, such as a `ScoreFile`'s
+`scores_by_id()`. Any other scorer raises `ProbeError`.
+
 Shell generation splits the total divergence budget (feature count times
 1 - d) across the varied features with uniform random simplex weights, moves
 each feature by its share of the budget in a random direction, and clamps to
@@ -21,27 +25,23 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Sample, _cell, csv_text, write_json
+from .dataset import Sample, _cell, csv_text, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, gower_similarity
-from .model import LinearModel, ScoreFile
-
-Scorer = Callable[[Sequence[Sample]], np.ndarray]
+from .model import LinearModel
 
 MAX_SHELL_ATTEMPTS = 64
 
 
-def _as_scorer(model) -> Scorer:
-    if isinstance(model, LinearModel):
-        return model.score_samples
-    if callable(model):
-        return lambda samples: np.asarray(model(samples), dtype=np.float64)
-    raise ProbeError(f"cannot score with object of type {type(model).__name__}")
+def _linear(model) -> LinearModel:
+    if not isinstance(model, LinearModel):
+        raise ProbeError(f"cannot score with object of type {type(model).__name__}")
+    return model
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +64,7 @@ class ProbeGrid:
 
 
 def probability_grid(
-    model,
+    model: LinearModel,
     base: Sample,
     fx: str,
     fy: str,
@@ -73,22 +73,22 @@ def probability_grid(
 ) -> ProbeGrid:
     """Evaluate the model on every (fx, fy) grid point around the base sample.
 
-    Axes are (low, high, count) with values evenly spaced. The grid cell at
-    the base sample's own coordinates scores identically to scoring the base
-    sample directly, because both go through the same scoring path.
+    Axes are (low, high, count) with values evenly spaced. The points are
+    one feature matrix: the base row repeated, with x varying slowest. Every
+    cell scores identically to scoring that point as a sample, because both
+    go through `LinearModel.score_matrix`.
     """
     if fx == fy:
         raise ProbeError("grid features must differ")
-    if isinstance(model, LinearModel):
-        for feature in (fx, fy):
-            if feature not in model.weights:
-                raise ProbeError(f"feature {feature!r} not in model")
-        missing = [f for f in model.features if f not in base.features]
-        if missing:
-            raise ProbeError(
-                f"base sample {base.id!r} missing model features: {', '.join(missing)}"
-            )
-    scorer = _as_scorer(model)
+    model = _linear(model)
+    for feature in (fx, fy):
+        if feature not in model.weights:
+            raise ProbeError(f"feature {feature!r} not in model")
+    missing = [f for f in model.features if f not in base.features]
+    if missing:
+        raise ProbeError(
+            f"base sample {base.id!r} missing model features: {', '.join(missing)}"
+        )
 
     def axis(spec: tuple[float, float, int], name: str) -> tuple[float, ...]:
         lo, hi, count = spec
@@ -98,23 +98,18 @@ def probability_grid(
 
     x_values = axis(x_axis, "x")
     y_values = axis(y_axis, "y")
+    nx, ny = len(x_values), len(y_values)
 
-    samples = []
-    for x in x_values:
-        for y in y_values:
-            features = dict(base.features)
-            features[fx] = x
-            features[fy] = y
-            samples.append(replace(base, features=features))
-    scores = np.asarray(scorer(samples), dtype=np.float64)
-    grid = scores.reshape(len(x_values), len(y_values))
+    points = np.repeat(feature_matrix([base], model.features), nx * ny, axis=0)
+    points[:, model.features.index(fx)] = np.repeat(x_values, ny)
+    points[:, model.features.index(fy)] = np.tile(y_values, nx)
     return ProbeGrid(
         sample_id=base.id,
         feature_x=fx,
         feature_y=fy,
         x_values=x_values,
         y_values=y_values,
-        probabilities=grid,
+        probabilities=model.score_matrix(points).reshape(nx, ny),
     )
 
 
@@ -153,6 +148,8 @@ def similarity_shell(
         )
     if not 0.0 <= d <= 1.0:
         raise ProbeError(f"similarity floor d must be in [0, 1], got {d}")
+    if n < 1 or seed < 0:
+        raise ProbeError(f"similarity_shell needs n >= 1 and seed >= 0, got n={n}, seed={seed}")
 
     present = [f for f in ranges.ranges if f in base.features]
     budget = len(present) * (1.0 - d)
@@ -187,13 +184,13 @@ def similarity_shell(
 
 
 def score_shell(
-    model,
+    model: LinearModel,
     base: Sample,
     shell: Sequence[ShellSample],
     class_threshold: float = 0.5,
 ) -> tuple[float, list[ShellSample]]:
     """Attach model scores and boundary-crossing flags; returns (base score, shell)."""
-    base_score, scores = _shell_scores(model, base, shell)
+    base_score, scores = _shell_scores(_linear(model), base, shell)
     base_class = classify(base_score, class_threshold)
     scored = [
         replace(entry, score=score, crossed=classify(score, class_threshold) != base_class)
@@ -244,33 +241,34 @@ class RecourseReport:
 
 
 def _shell_scores(model_or_scores, base: Sample, shell: Sequence[ShellSample]) -> tuple[float, list[float]]:
-    lookup = model_or_scores.scores_by_id() if isinstance(model_or_scores, ScoreFile) else model_or_scores
-    if isinstance(lookup, Mapping):
-        wanted = [base.id] + [entry.sample.id for entry in shell]
-        missing = [sample_id for sample_id in wanted if sample_id not in lookup]
+    if isinstance(model_or_scores, Mapping):
+        ids = [base.id] + [entry.sample.id for entry in shell]
+        missing = [sample_id for sample_id in ids if sample_id not in model_or_scores]
         if missing:
             raise ProbeError(
                 f"external scores missing {len(missing)} ids: {', '.join(missing[:5])}"
             )
-        return float(lookup[base.id]), [float(lookup[entry.sample.id]) for entry in shell]
-    scorer = _as_scorer(model_or_scores)
-    scores = np.asarray(scorer([base] + [entry.sample for entry in shell]), dtype=np.float64)
-    return float(scores[0]), [float(s) for s in scores[1:]]
+        scores = [float(model_or_scores[sample_id]) for sample_id in ids]
+    else:
+        samples = [base] + [entry.sample for entry in shell]
+        scores = [float(s) for s in _linear(model_or_scores).score_samples(samples)]
+    return scores[0], scores[1:]
 
 
 def recourse_probe(
-    model_or_scores,
+    model_or_scores: LinearModel | Mapping[str, float],
     base: Sample,
     shell: Sequence[ShellSample],
     class_threshold: float = 0.5,
 ) -> RecourseReport:
     """Scan the shell for decision-boundary crossings.
 
-    Accepts a model (anything scorable) or precomputed external scores that
-    cover the base id and every shell id. If a crossing exists, the one with
-    the highest similarity to the base wins (ties broken by id, so the result
-    does not depend on shell ordering) and its per-feature deltas form the
-    candidate recourse action list.
+    Accepts a `LinearModel` or precomputed scores, an id -> score mapping that
+    covers the base id and every shell id (for a `ScoreFile`, pass its
+    `scores_by_id()`). If a crossing exists, the one with the highest
+    similarity to the base wins (ties broken by id, so the result does not
+    depend on shell ordering) and its per-feature deltas form the candidate
+    recourse action list.
     """
     if not shell:
         raise ProbeError("recourse_probe needs a non-empty shell")
@@ -287,36 +285,24 @@ def recourse_probe(
         if classify(score, class_threshold) != base_class:
             crossings.append((entry, score))
 
-    if not crossings:
-        floor = min(entry.similarity for entry in shell)
-        return RecourseReport(
-            base_id=base.id,
-            base_score=base_score,
-            base_class=base_class,
-            class_threshold=class_threshold,
-            shell_size=len(shell),
-            crossed_count=0,
-            recourse_found=False,
-            best_id=None,
-            best_similarity=None,
-            best_score=None,
-            best_class=None,
-            deltas=None,
-            target_values=None,
-            max_score_rate=max_rate,
-            message=f"no recourse found within similarity >= {floor!r}",
-        )
-
-    best_entry, best_score = min(
-        crossings, key=lambda pair: (-pair[0].similarity, pair[0].sample.id)
+    best, best_score = min(
+        crossings, key=lambda pair: (-pair[0].similarity, pair[0].sample.id), default=(None, None)
     )
-    deltas: dict[str, float] = {}
-    targets: dict[str, float] = {}
-    for name, value in best_entry.sample.features.items():
-        base_value = base.features.get(name)
-        if base_value is None or value != base_value:
-            deltas[name] = value - base_value if base_value is not None else value
-            targets[name] = value
+    deltas = targets = None
+    if best is None:
+        floor = min(entry.similarity for entry in shell)
+        message = f"no recourse found within similarity >= {floor!r}"
+    else:
+        deltas, targets = {}, {}
+        for name, value in best.sample.features.items():
+            base_value = base.features.get(name)
+            if base_value is None or value != base_value:
+                deltas[name] = value - base_value if base_value is not None else value
+                targets[name] = value
+        message = (
+            f"recourse found: {len(crossings)} of {len(shell)} shell samples cross the "
+            f"decision boundary; closest at similarity {best.similarity!r}"
+        )
     return RecourseReport(
         base_id=base.id,
         base_score=base_score,
@@ -324,18 +310,15 @@ def recourse_probe(
         class_threshold=class_threshold,
         shell_size=len(shell),
         crossed_count=len(crossings),
-        recourse_found=True,
-        best_id=best_entry.sample.id,
-        best_similarity=best_entry.similarity,
+        recourse_found=best is not None,
+        best_id=None if best is None else best.sample.id,
+        best_similarity=None if best is None else best.similarity,
         best_score=best_score,
-        best_class=classify(best_score, class_threshold),
+        best_class=None if best is None else classify(best_score, class_threshold),
         deltas=deltas,
         target_values=targets,
         max_score_rate=max_rate,
-        message=(
-            f"recourse found: {len(crossings)} of {len(shell)} shell samples cross the "
-            f"decision boundary; closest at similarity {best_entry.similarity!r}"
-        ),
+        message=message,
     )
 
 

@@ -313,6 +313,47 @@ class TestCliRobustness:
         assert main(["split", "--config", str(fx["config"])]) == 1
         assert "SIMLABEL_WORKERS" in one_error_line(capsys)["message"]
 
+    # a number that is not whole, or that overflows a float, in the config file or on a flag
+    @pytest.mark.parametrize("command, key, section, raw, flags", [
+        pytest.param("split", "seed", None, "1e999", [], id="seed=1e999"),
+        pytest.param("split", "seed", None, "2.5", [], id="seed=2.5"),
+        pytest.param("split", "seed", None, "1" + "0" * 400, [], id="seed=1e400-as-int"),
+        pytest.param("train", "max_iter", "train", "1e999", [], id="max_iter=1e999"),
+        pytest.param("probe-shell", "count", "probe", "2.5", [], id="count=2.5"),
+        pytest.param("probe-grid", "y", "probe", "[0, 1, 1e999]", [], id="y-count=1e999"),
+        pytest.param("probe-grid", "y", "probe", "[-1e999, 1, 3]", [], id="y-low=-1e999"),
+        pytest.param("probe-grid", "x", None, None, ["--x", "0", "1", "inf"], id="--x 0 1 inf"),
+        pytest.param("probe-grid", "x", None, None, ["--x", "0", "1", "2.7"], id="--x 0 1 2.7"),
+    ])
+    def test_number_that_is_not_whole_or_finite_exits_cleanly(
+            self, tmp_path, capsys, command, key, section, raw, flags):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        payload = json.loads(fx["config"].read_text())
+        if raw is not None:
+            (payload[section] if section else payload)[key] = "@@"
+        fx["config"].write_text(json.dumps(payload).replace('"@@"', raw or ""), encoding="utf-8")
+        assert main([command, "--config", str(fx["config"]), *flags]) == 1
+        assert one_error_line(capsys)["message"].startswith(f"{key} must be ")
+
+    @pytest.mark.parametrize("command, flags, names", [
+        ("train", ["--l2", "inf"], "l1, l2 and tol must be finite"),
+        ("train", ["--l1", "nan"], "l1, l2 and tol must be finite"),
+        ("train", ["--tol", "nan"], "l1, l2 and tol must be finite"),
+        ("evaluate", ["--class-threshold", "nan"], "class_threshold must be a number in [0, 1]"),
+        ("probe-shell", ["--seed", "-1"], "got n=64, seed=-1"),
+        ("probe-shell", ["--count", "0"], "got n=0, seed=7"),
+    ], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+    def test_non_finite_or_negative_setting_exits_cleanly(self, tmp_path, capsys, command, flags, names):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for step in ("split", "ranges"):
+            assert main([step, "--config", str(fx["config"])]) == 0
+        capsys.readouterr()
+        floor = ["--d", "0.9"] if command == "probe-shell" else []
+        assert main([command, "--config", str(fx["config"]), *floor, *flags]) == 1
+        assert names in one_error_line(capsys)["message"]
+        assert not (fx["out"] / "model_plain.json").exists()
+        assert not list(fx["out"].glob("shell_*"))
+
     # a UTF-16 byte-order mark before the header, or a Latin-1 cell after the valid rows
     @pytest.mark.parametrize("bad, at_start", [(b"\xff\xfe", True), (b"caf\xe9\n", False)],
                              ids=["bom-first", "latin1-last"])

@@ -1,6 +1,7 @@
 """Matcher tests: calibration fixtures, hand-worked votes, and oracle equality."""
 
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import T0, make_sample, make_schema, random_instance
 from oracles import gower_oracle, match_oracle
 from simlabel.dataset import Dataset
 from simlabel.errors import MatcherError
-from simlabel.kernel import RangeTable
+from simlabel.kernel import RangeTable, compute_ranges
 from simlabel.matcher import (
     MatchResult,
     SimilarityParams,
@@ -411,7 +412,11 @@ class TestMatcherProperties:
 
     def test_exact_oracle_agreement_on_random_instances(self):
         rng = np.random.default_rng(14)
-        for _ in range(30):
+        ties_at_c = 0
+        # instances 30-59 put the similarity values on a coarse grid with f0 constant
+        # (a zero-range feature), and take d and c from the oracle's own similarities
+        # and |t| values, so some pairs tie exactly at d and some votes exactly at c
+        for instance in range(60):
             schema, labeled, unlabeled, ranges = random_instance(
                 rng,
                 n_labeled=int(rng.integers(2, 31)),
@@ -422,21 +427,48 @@ class TestMatcherProperties:
             )
             d = float(rng.uniform(0.2, 0.9))
             c = float(rng.uniform(0.0, 0.9))
+
+            def oracle(data_d, data_c):
+                return match_oracle(
+                    [(row.id, row.features) for row in unlabeled.rows],
+                    [(row.id, row.features, row.label) for row in labeled.rows],
+                    ranges.ranges,
+                    list(schema.estimation_features),
+                    data_d,
+                    data_c,
+                )
+
+            if instance >= 30:
+                def coarse(data):
+                    rows = [replace(row, features={
+                        name: (1.0 if name == "f0" else round(value) / 2.0) if name.startswith("f") else value
+                        for name, value in row.features.items()
+                    }) for row in data.rows]
+                    return Dataset(schema, rows, data.provenance)
+
+                labeled, unlabeled = coarse(labeled), coarse(unlabeled)
+                ranges = compute_ranges([labeled, unlabeled], schema)
+                assert ranges.ranges["f0"] == 0.0
+                sims = sorted({
+                    gower_oracle(lrow.features, urow.features, ranges.ranges)
+                    for lrow in labeled.rows
+                    for urow in unlabeled.rows
+                })
+                d = sims[int(rng.integers(len(sims)))]
+                votes = sorted({abs(ref["t"]) for ref in oracle(d, 0.0) if ref["t"] is not None})
+                if votes:
+                    c = votes[int(rng.integers(len(votes)))]
+                    ties_at_c += 1
             got = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=d, c=c))
-            expected = match_oracle(
-                [(row.id, row.features) for row in unlabeled.rows],
-                [(row.id, row.features, row.label) for row in labeled.rows],
-                ranges.ranges,
-                list(schema.estimation_features),
-                d,
-                c,
-            )
+            expected = oracle(d, c)
+            assert len(got) == len(expected)
             for mine, ref in zip(got, expected):
                 assert mine.unlabeled_id == ref["id"]
                 assert mine.vote == ref["t"]
                 assert mine.estimated_label == ref["y_hat"]
                 assert mine.imputed_features == ref["imputed"]
                 assert mine.matched_count == ref["matched_count"]
+        assert ties_at_c >= 10
 
 
 class TestMatchSerialization:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
 from oracles import gower_oracle
@@ -84,6 +86,36 @@ class TestProbabilityGrid:
         with pytest.raises(ProbeError, match="missing model features"):
             probability_grid(linear_model(), incomplete, "f0", "f1", (-1, 1, 2), (-1, 1, 2))
 
+    def test_other_scorers_rejected(self):
+        with pytest.raises(ProbeError, match="cannot score with object of type function"):
+            probability_grid(lambda samples: [0.5] * len(samples), BASE, "f0", "f1", (-1, 1, 2), (-1, 1, 2))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_every_cell_equals_scoring_its_point_as_a_sample(self, data):
+        # model features in an order unlike the schema's; the base also carries
+        # a feature the model lacks
+        features = data.draw(st.permutations(["f0", "f1", "f2", "f3"]))[: data.draw(st.integers(2, 4))]
+        number = st.floats(-3.0, 3.0, allow_nan=False)
+        model = LinearModel(
+            weights={f: data.draw(number) for f in features},
+            intercept=data.draw(number),
+            l1=0.0,
+            l2=0.0,
+            feature_means={f: data.draw(number) for f in features},
+            feature_scales={f: data.draw(st.floats(0.1, 3.0)) for f in features},
+            seed=0,
+        )
+        base = make_sample("b", {f: data.draw(number) for f in ("f3", "f1", "f0", "f2", "extra")})
+        fx, fy = data.draw(st.permutations(features))[:2]
+        axis = st.tuples(number, number, st.integers(1, 6))
+        grid = probability_grid(model, base, fx, fy, data.draw(axis), data.draw(axis))
+        assert grid.probabilities.shape == (len(grid.x_values), len(grid.y_values))
+        for i, x in enumerate(grid.x_values):
+            for j, y in enumerate(grid.y_values):
+                point = make_sample("p", {**base.features, fx: x, fy: y})
+                assert grid.probabilities[i, j] == model.score_samples([point])[0]
+
     def test_csv_is_long_format(self):
         grid = probability_grid(constant_model(), BASE, "f0", "f1", (-1, 1, 2), (-1, 1, 2))
         lines = grid.to_csv_text().splitlines()
@@ -155,6 +187,15 @@ class TestSimilarityShell:
         partial = make_sample("partial", {"f0": 0.0})
         with pytest.raises(ProbeError, match="missing from base"):
             similarity_shell(partial, ["f1"], RANGES, d=0.9, n=5, seed=1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_fewer_than_one_draw_rejected(self, n):
+        with pytest.raises(ProbeError, match=f"needs n >= 1 and seed >= 0, got n={n}, seed=1"):
+            similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=n, seed=1)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ProbeError, match="needs n >= 1 and seed >= 0, got n=5, seed=-1"):
+            similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=5, seed=-1)
 
     def test_shell_ids_are_unique_and_traceable(self):
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=20, seed=19)
@@ -256,6 +297,20 @@ class TestRecourseProbe:
         scores[BASE.id] = 0.9
         with pytest.raises(ProbeError, match="missing"):
             recourse_probe(scores, BASE, shell)
+
+    def test_score_file_scores_by_id_accepted(self):
+        shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=20, seed=61)
+        model = linear_model(6.0, 6.0, 0.0, -1.0)
+        rows = [BASE] + [entry.sample for entry in shell]
+        scores = predict_scores(model, Dataset(SCHEMA, rows))
+        assert recourse_probe(scores.scores_by_id(), BASE, shell) == recourse_probe(model, BASE, shell)
+
+    def test_other_scorers_rejected(self):
+        shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=5, seed=67)
+        with pytest.raises(ProbeError, match="cannot score with object of type ScoreFile"):
+            recourse_probe(predict_scores(constant_model(), Dataset(SCHEMA, [BASE])), BASE, shell)
+        with pytest.raises(ProbeError, match="cannot score with object of type dict"):
+            score_shell({BASE.id: 0.5}, BASE, shell)
 
     def test_empty_shell_rejected(self):
         with pytest.raises(ProbeError, match="non-empty"):
