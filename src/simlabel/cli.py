@@ -3,8 +3,9 @@
 Each command reads upstream artifacts from the output directory, writes its
 own outputs atomically, and prints a one-line summary. Re-running a command
 with identical inputs and seed produces byte-identical outputs, and the
-worker count never changes a single output byte. Failures exit nonzero with
-one machine-readable JSON line on stderr.
+worker count never changes a single output byte. Failures, usage errors
+such as an unknown flag included, exit 1 with one machine-readable JSON line
+on stderr; `--help` exits 0.
 
 Every setting is a row of OPTIONS: its config key, its flag, the commands
 that accept the flag, its type and its default. A flag beats the environment
@@ -100,7 +101,12 @@ OPTIONS = (
 
 def _int(value, base: Path) -> int:
     """An integer; a number that is not whole (2.5, inf, nan) is refused, not truncated."""
-    if not isinstance(value, str) and not float(value).is_integer():
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if not float(value).is_integer():
         raise ValueError(value)
     return int(value)
 
@@ -133,16 +139,16 @@ def _scores(value, base: Path) -> list[tuple[str, Path]]:
 
 
 # kind -> (parse(value, directory that relative paths start from), what a value
-# must be, how argparse reads the flag)
+# must be); a flag's value reaches the parser as the string (three strings for an axis)
 KINDS = {
-    "int": (_int, "an integer", {"type": int}),
-    "float": (lambda value, base: float(value), "a number", {"type": float}),
-    "unit": (_unit, "a number in [0, 1]", {"type": float}),
-    "str": (lambda value, base: str(value), "a string", {}),
-    "path": (lambda value, base: base / str(value), "a path", {}),
-    "axis": (_axis, "[low, high, count]", {"type": float, "nargs": 3, "metavar": ("LO", "HI", "N")}),
-    "names": (_names, "a list of feature names", {}),
-    "scores": (_scores, "a list of objects with 'name' and 'path'", {}),
+    "int": (_int, "an integer"),
+    "float": (lambda value, base: float(value), "a number"),
+    "unit": (_unit, "a number in [0, 1]"),
+    "str": (lambda value, base: str(value), "a string"),
+    "path": (lambda value, base: base / str(value), "a path"),
+    "axis": (_axis, "[low, high, count]"),
+    "names": (_names, "a list of feature names"),
+    "scores": (_scores, "a list of objects with 'name' and 'path'"),
 }
 
 
@@ -156,7 +162,7 @@ def _resolve(option: Option, args: argparse.Namespace, section: dict, config_pat
     for value, source, base in sources:
         if value is None or value == "":
             continue
-        parse, must_be, _ = KINDS[option.kind]
+        parse, must_be = KINDS[option.kind]
         try:
             return parse(value, base)
         except (TypeError, ValueError, OverflowError) as err:
@@ -478,8 +484,15 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ConfigError instead of exiting 2."""
+
+    def error(self, message: str):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simlabel",
         description="Confident similar-sample mining, augmentation, evaluation, and probing "
                     "for small labeled tabular datasets.",
@@ -490,18 +503,21 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON run config")
         for option in OPTIONS:
             if option.flag and (option.commands is None or command in option.commands):
-                metavar = option.flag[2:].upper().replace("-", "_")
-                p.add_argument(option.flag, dest=option.name, default=None, help=option.help,
-                               **{"metavar": metavar, **KINDS[option.kind][2]})
+                shape = {"metavar": option.flag[2:].upper().replace("-", "_")}
+                if option.kind == "axis":
+                    shape = {"nargs": 3, "metavar": ("LO", "HI", "N")}
+                p.add_argument(option.flag, dest=option.name, default=None, help=option.help, **shape)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _DISPATCH else None  # a usage error names it too
     try:
+        args = build_parser().parse_args(argv)
         summary = _DISPATCH[args.command][0](load_config(args.config, args))
     except (SimlabelError, OSError) as err:
-        line = json.dumps({"status": "error", "command": args.command, "message": str(err)})
+        line = json.dumps({"status": "error", "command": command, "message": str(err)})
         print(line, file=sys.stderr)
         return 1
     print(summary)

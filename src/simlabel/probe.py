@@ -16,14 +16,16 @@ Shell generation splits the total divergence budget (feature count times
 1 - d) across the varied features with uniform random simplex weights, moves
 each feature by its share of the budget in a random direction, and clamps to
 the observed feature bounds. Every emitted sample is re-verified against the
-kernel; a draw that fails the constraint is rejected and redrawn. Draws for
-sample i come from a dedicated stream seeded by (seed, i), so sample i does
-not depend on how many samples are drawn.
+kernel; a draw that fails the constraint is rejected and redrawn. The random
+words come from a counter-based stream: attempt a of sample i is a hash of
+(seed, i, a), so sample i depends on (seed, i) only, never on how many
+samples are drawn. The draws are made and checked in rounds, one array of
+every still-pending sample per round.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -32,7 +34,7 @@ import numpy as np
 from .dataset import Sample, _cell, csv_text, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
-from .kernel import RangeTable, gower_similarity
+from .kernel import RangeTable, similarity_block
 from .model import LinearModel
 
 MAX_SHELL_ATTEMPTS = 64
@@ -123,6 +125,34 @@ class ShellSample:
     crossed: bool | None = None
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finaliser, elementwise on uint64 (products wrap mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _streams(seed: int, indices: np.ndarray) -> np.ndarray:
+    """One 64-bit stream state per sample index, a hash of (seed, index).
+
+    Every 64-bit word of the seed is folded into the key, so any seed >= 0 is
+    valid and none is truncated.
+    """
+    key = np.zeros(1, dtype=np.uint64)
+    for shift in range(0, max(seed.bit_length(), 1), 64):
+        key = _mix((key + _GAMMA) ^ np.uint64((seed >> shift) & 0xFFFFFFFFFFFFFFFF))
+    return _mix(key + (indices + np.uint64(1)) * _GAMMA)
+
+
+def _words(streams: np.ndarray, first: int, count: int) -> np.ndarray:
+    """Words first .. first + count - 1 of each stream's SplitMix64 sequence, one row per stream."""
+    counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    return _mix(streams[:, None] + counters[None, :] * _GAMMA)
+
+
 def similarity_shell(
     base: Sample,
     vary: Sequence[str],
@@ -134,7 +164,18 @@ def similarity_shell(
 ) -> list[ShellSample]:
     """Draw n perturbations of the vary features with Gower similarity >= d to base.
 
-    `workers` is accepted and changes nothing: the draws run one after another.
+    Sample i is a function of (seed, i) only: attempt a of k varied features
+    reads words 2ka .. 2ka + 2k - 1 of a SplitMix64 sequence started from a
+    hash of (seed, i), k shares and then k signs. The shares are normalised
+    -log(u) with u strictly inside (0, 1), which is Dirichlet(1, ..., 1).
+    Each round draws every pending sample as one array, clamps it, checks it
+    with one `similarity_block` call and redraws the rejected samples with
+    the next attempt. Rounding can put a draw a hair below d, and with one
+    varied feature every attempt lands on one of the same two points, so
+    attempt a moves by the fraction 1 - 2**(a + 1 - MAX_SHELL_ATTEMPTS) of
+    the budget: all of it for the first ten attempts, none at the last. A
+    sample the kernel still rejects then raises ProbeError naming the lowest
+    such index. `workers` is accepted and changes nothing.
     """
     if not vary:
         raise ProbeError("similarity_shell needs a non-empty vary set")
@@ -151,36 +192,55 @@ def similarity_shell(
     if n < 1 or seed < 0:
         raise ProbeError(f"similarity_shell needs n >= 1 and seed >= 0, got n={n}, seed={seed}")
 
-    present = [f for f in ranges.ranges if f in base.features]
-    budget = len(present) * (1.0 - d)
-    spreads = np.array([ranges.ranges[f] for f in vary], dtype=np.float64)
+    names = ranges.features()
+    base_row = feature_matrix([base], names)
+    columns = [names.index(f) for f in vary]
+    k = len(vary)
+    budget = np.count_nonzero(~np.isnan(base_row)) * (1.0 - d)
+    step = budget * np.array([ranges.ranges[f] for f in vary], dtype=np.float64)
     lows = np.array([ranges.bounds[f][0] for f in vary], dtype=np.float64)
     highs = np.array([ranges.bounds[f][1] for f in vary], dtype=np.float64)
-    base_values = np.array([base.features[f] for f in vary], dtype=np.float64)
-    k = len(vary)
 
-    def draw(index: int) -> ShellSample:
-        rng = np.random.default_rng((seed, index))
-        for _ in range(MAX_SHELL_ATTEMPTS):
-            shares = rng.dirichlet(np.ones(k))
-            signs = rng.integers(0, 2, size=k) * 2 - 1
-            values = base_values + signs * shares * budget * spreads
-            values = np.clip(values, lows, highs)
-            features = dict(base.features)
-            for name, value in zip(vary, values):
-                features[name] = float(value)
-            candidate = replace(
-                base, id=f"{base.id}-shell-{index:05d}", features=features, label=None
-            )
-            similarity = gower_similarity(base, candidate, ranges)
-            if similarity >= d:
-                return ShellSample(sample=candidate, similarity=similarity)
+    values = np.empty((n, k))
+    similarity = np.empty(n)
+    pending = np.arange(n, dtype=np.uint64)
+    streams = _streams(seed, pending)
+    for attempt in range(MAX_SHELL_ATTEMPTS):
+        words = _words(streams, 2 * k * attempt, 2 * k)
+        # u = (top 52 bits + 1/2) / 2**52 lies in [2**-53, 1 - 2**-53]; with 53 bits
+        # the top word would round up to u = 1, a zero share total and a NaN value
+        exponentials = -np.log(((words[:, :k] >> np.uint64(12)) + 0.5) * 2.0**-52)
+        shares = exponentials / exponentials.sum(axis=1, keepdims=True)
+        signs = np.where(words[:, k:] >> np.uint64(63), 1.0, -1.0)
+        # the full budget to the last bit for the first ten attempts, then ever
+        # closer to the base, which the last attempt returns and which always passes
+        aim = 1.0 - 2.0 ** (attempt + 1 - MAX_SHELL_ATTEMPTS)
+        moved = base_row[0, columns] + signs * shares * (aim * step)
+        trial = np.repeat(base_row, len(pending), axis=0)
+        trial[:, columns] = np.clip(moved, lows, highs)
+        sims = similarity_block(base_row, trial, ranges)[0]
+        accepted = sims >= d
+        values[pending[accepted]] = trial[accepted][:, columns]
+        similarity[pending[accepted]] = sims[accepted]
+        pending, streams = pending[~accepted], streams[~accepted]
+        if not len(pending):
+            break
+    else:
         raise ProbeError(
             f"could not draw a shell sample above similarity {d} after "
-            f"{MAX_SHELL_ATTEMPTS} attempts (index {index})"
+            f"{MAX_SHELL_ATTEMPTS} attempts (index {pending[0]})"
         )
+    del words, exponentials, shares, signs, moved, trial  # the last round's draws, before the samples
 
-    return [draw(i) for i in range(n)]
+    rows = (row.tolist() for row in values)  # one row at a time, not a second copy of all
+    return [
+        ShellSample(Sample(
+            id=f"{base.id}-shell-{i:05d}", timestamp=base.timestamp,
+            features=base.features | dict(zip(vary, row)),
+            source=base.source, vote=base.vote, matched_count=base.matched_count,
+        ), sim)
+        for i, (row, sim) in enumerate(zip(rows, similarity.tolist()))
+    ]
 
 
 def score_shell(
@@ -193,7 +253,7 @@ def score_shell(
     base_score, scores = _shell_scores(_linear(model), base, shell)
     base_class = classify(base_score, class_threshold)
     scored = [
-        replace(entry, score=score, crossed=classify(score, class_threshold) != base_class)
+        ShellSample(entry.sample, entry.similarity, score, classify(score, class_threshold) != base_class)
         for entry, score in zip(shell, scores)
     ]
     return base_score, scored

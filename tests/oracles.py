@@ -125,3 +125,54 @@ def central_difference_gradient(fn, point: np.ndarray, h: float = 1e-5) -> np.nd
         down[i] -= step
         grad[i] = (fn(up) - fn(down)) / (2.0 * step)
     return grad
+
+
+def exact_linear_recourse(model, base, vary, ranges, threshold: float = 0.5):
+    """The most similar decision flip of a linear model, as a fractional knapsack.
+
+    Within the observed bounds a change delta has Gower similarity
+    1 - (1/p) * sum |delta_k| / r_k to the base (p: similarity features the
+    base has), and it moves the margin by sum w_k * delta_k / s_k. So the
+    cheapest flip moves the varied model features in descending order of
+    |w_k| * r_k / s_k, each in the direction that helps and at most to its
+    bound, until the margin reaches logit(threshold). A score at the threshold
+    classifies as +1, so a base at or above it must go strictly below (the
+    returned similarity is then a supremum) and one below it need only reach
+    it. Features outside the model or with zero range never move. Returns
+    (similarity, deltas), or None when no change within the bounds flips the
+    decision.
+    """
+    features = base.features
+    p = sum(1 for name in ranges.ranges if name in features)
+    margin = model.intercept
+    for name, weight in model.weights.items():
+        if name in features:
+            margin += weight * (features[name] - model.feature_means[name]) / model.feature_scales[name]
+    target = math.log(threshold / (1.0 - threshold))
+    up = margin < target
+    gap = target - margin if up else margin - target
+
+    moves = []
+    for name in dict.fromkeys(vary):
+        weight, spread = model.weights.get(name, 0.0), ranges.ranges[name]
+        if weight == 0.0 or spread == 0.0:
+            continue
+        rate = weight / model.feature_scales[name]
+        direction = 1.0 if (rate > 0) == up else -1.0
+        low, high = ranges.bounds[name]
+        room = high - features[name] if direction > 0 else features[name] - low
+        moves.append((abs(rate) * spread, name, direction, room, abs(rate), spread))
+    moves.sort(key=lambda move: -move[0])
+
+    cost = 0.0
+    deltas = {}
+    for _, name, direction, room, rate, spread in moves:
+        reach = room * rate
+        if reach > gap or (up and reach >= gap):
+            deltas[name] = direction * gap / rate
+            cost += gap / rate / spread
+            return 1.0 - cost / p, deltas
+        deltas[name] = direction * room
+        cost += room / spread
+        gap -= reach
+    return None

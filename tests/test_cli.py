@@ -451,3 +451,40 @@ def test_flag_beats_config_beats_default(tmp_path, monkeypatch, option):
         assert resolved(keyed) == from_config
     assert resolved(keyed, option.flag, *flag_args) == from_flag
     assert resolved({}) == option.default
+
+
+# a usage error, or a flag value its kind's parser refuses: one JSON line, exit 1
+@pytest.mark.parametrize("argv, message", [
+    (["split", "--config", "{config}", "--seed", "2.5"], "seed must be an integer, got '2.5' from --seed"),
+    (["split", "--config", "{config}", "--workers", "two"], "workers must be an integer, got 'two'"),
+    (["split", "--config", "{config}", "--test-fraction", "x"], "test_fraction must be a number in [0, 1]"),
+    (["probe-grid", "--config", "{config}", "--x", "0", "1"], "argument --x: expected 3 arguments"),
+    (["split", "--config", "{config}", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    (["split", "--config", "{config}", "--d", "0.9"], "unrecognized arguments: --d 0.9"),
+    (["split"], "the following arguments are required: --config"),
+    (["splt", "--config", "{config}"], "invalid choice: 'splt'"),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_usage_and_flag_errors_give_one_json_line(tmp_path, capsys, argv, message):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    argv = [arg.format(config=fx["config"]) for arg in argv]
+    assert main(argv) == 1
+    error = one_error_line(capsys)
+    assert message in error["message"]
+    assert error["command"] == (argv[0] if argv[0] != "splt" else None)
+    assert not list(fx["out"].glob("*"))
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["probe-shell", "--help"])
+    assert stop.value.code == 0
+    assert "--count" in capsys.readouterr().out
+
+
+def test_probe_shell_takes_a_seed_past_64_bits(tmp_path):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    for command in ("split", "ranges", "calibrate"):
+        assert main([command, "--config", str(fx["config"])]) == 0
+    assert main(["probe-shell", "--config", str(fx["config"]), "--sample-id", "l0000",
+                 "--seed", str(2**64), "--count", "20"]) == 0
+    assert len((fx["out"] / "shell_l0000.csv").read_text().splitlines()) == 21

@@ -4,16 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
-from oracles import gower_oracle
+import simlabel.probe
+from oracles import exact_linear_recourse, gower_oracle
 from simlabel.dataset import Dataset
 from simlabel.errors import ProbeError
 from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
 from simlabel.probe import (
+    MAX_SHELL_ATTEMPTS,
     probability_grid,
     recourse_probe,
     score_shell,
@@ -327,3 +329,136 @@ class TestRecourseProbe:
             if entry.similarity < 1.0
         ]
         assert report.max_score_rate == pytest.approx(max(rates), abs=1e-12)
+
+
+def shell_values(shell, names=("f0", "f1", "f2")):
+    return [tuple(entry.sample.features[name] for name in names) for entry in shell]
+
+
+class TestShellStream:
+    """Sample i is a function of (seed, i) alone, drawn from a counter-based stream."""
+
+    def test_a_shorter_shell_is_the_head_of_a_longer_one(self):
+        # at d = 0.8 about a fifth of the first draws round below the floor and
+        # are redrawn, so redraws are covered too
+        short = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=100, seed=3)
+        long = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=1000, seed=3)
+        assert short == long[:100]
+        assert len(set(shell_values(long))) == 1000  # every index has a stream of its own
+
+    def test_mean_share_per_feature_is_one_over_k(self):
+        names = ("a", "b", "c", "e")
+        spreads = {"a": 1.0, "b": 2.0, "c": 4.0, "e": 8.0}
+        # the base sits mid-range and the largest move is 0.4 * r_k, so nothing clamps
+        ranges = RangeTable(ranges=spreads, bounds={f: (-r / 2, r / 2) for f, r in spreads.items()})
+        base = make_sample("mid", {f: 0.0 for f in names})
+        d = 0.9
+        shell = similarity_shell(base, list(names), ranges, d=d, n=5000, seed=101)
+        budget = len(names) * (1.0 - d)
+        for name in names:
+            shares = [abs(entry.sample.features[name]) / (budget * spreads[name]) for entry in shell]
+            assert abs(np.mean(shares) - 0.25) <= 0.02, name
+
+    # the natural words, then every word 0 and every word 2**64 - 1: the
+    # extremes of u, where -log(u) would be inf or 0 if u could reach 0 or 1
+    @pytest.mark.parametrize("word", [None, 0, 2**64 - 1])
+    def test_one_varied_feature_never_accepts_nan(self, monkeypatch, word):
+        if word is not None:
+            real = simlabel.probe._words
+            monkeypatch.setattr(simlabel.probe, "_words",
+                                lambda *args: np.full_like(real(*args), word))
+        # a NaN cell counts as missing in the kernel, so the other two features
+        # alone would pass the floor; d = 0.5 clamps the largest moves
+        shell = similarity_shell(BASE, ["f0"], RANGES, d=0.5, n=200, seed=5)
+        values = [entry.sample.features["f0"] for entry in shell]
+        assert not any(math.isnan(value) for value in values)
+        assert all(-2.0 <= value <= 2.0 for value in values)
+
+    @given(low=st.floats(-3.0, 3.0), spread=st.floats(0.01, 4.0), at=st.floats(0.0, 1.0),
+           d=st.floats(0.0, 1.0), seed=st.integers(0, 2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_one_varied_feature_always_meets_the_floor(self, low, spread, at, d, seed):
+        # one varied feature moves by the whole budget, up or down, at every
+        # attempt; in about one such problem in ten rounding puts both points
+        # below d, and only the shrinking later attempts meet the floor
+        high = low + spread
+        ranges = RangeTable(ranges={"f0": high - low}, bounds={"f0": (low, high)})
+        base = make_sample("b", {"f0": min(low + at * (high - low), high)})
+        shell = similarity_shell(base, ["f0"], ranges, d=d, n=5, seed=seed)
+        for entry in shell:
+            assert entry.similarity >= d
+            assert gower_oracle(base.features, entry.sample.features, ranges.ranges) >= d
+
+    def test_draws_rejected_every_round_name_the_lowest_index(self, monkeypatch):
+        rounds = []
+
+        def below_floor(left, right, ranges):
+            rounds.append(len(right))
+            return np.full((len(left), len(right)), 0.5)
+
+        monkeypatch.setattr(simlabel.probe, "similarity_block", below_floor)
+        with pytest.raises(ProbeError, match=rf"after {MAX_SHELL_ATTEMPTS} attempts \(index 0\)"):
+            similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=10, seed=1)
+        assert rounds == [10] * MAX_SHELL_ATTEMPTS
+
+    def test_seeds_of_any_size_give_distinct_shells(self):
+        seeds = (0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**100)
+        shells = {seed: similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=seed)
+                  for seed in seeds}
+        assert len({tuple(shell_values(shell)) for shell in shells.values()}) == len(seeds)
+        assert similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=2**100) == shells[2**100]
+
+
+@st.composite
+def linear_problem(draw):
+    """A linear model, a base inside the observed bounds, and a shell to draw around it."""
+    names = [f"f{j}" for j in range(draw(st.integers(1, 4)))]
+    number = st.floats(-3.0, 3.0, allow_nan=False)
+    lows = {f: draw(number) for f in names}
+    highs = {f: lows[f] + draw(st.one_of(st.just(0.0), st.floats(0.1, 4.0))) for f in names}
+    ranges = RangeTable(ranges={f: highs[f] - lows[f] for f in names},
+                        bounds={f: (lows[f], highs[f]) for f in names})
+    # a point inside the bounds, rounding kept from stepping past the upper one
+    base = make_sample("b", {f: min(lows[f] + draw(st.floats(0.0, 1.0)) * (highs[f] - lows[f]), highs[f])
+                             for f in names})
+    in_model = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    model = LinearModel(
+        weights={f: draw(st.one_of(st.just(0.0), st.floats(-4.0, 4.0))) for f in in_model},
+        intercept=draw(number),
+        l1=0.0,
+        l2=0.0,
+        feature_means={f: draw(number) for f in in_model},
+        feature_scales={f: draw(st.floats(0.2, 3.0)) for f in in_model},
+        seed=0,
+    )
+    vary = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    return model, base, vary, ranges
+
+
+class TestExactLinearRecourse:
+    @given(problem=linear_problem(), d=st.floats(0.5, 0.99), threshold=st.floats(0.2, 0.8),
+           seed=st.integers(0, 2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_no_shell_sample_beats_the_exact_answer(self, problem, d, threshold, seed):
+        model, base, vary, ranges = problem
+        base_score = model.score_samples([base])[0]
+        assume(abs(base_score - threshold) > 1e-9)  # the base's own class is not a rounding call
+        exact = exact_linear_recourse(model, base, vary, ranges, threshold)
+        ceiling = -math.inf
+        if exact is not None:
+            ceiling, deltas = exact
+            # the exact answer is a change within the bounds that reaches the threshold
+            moved = {**base.features, **{f: base.features[f] + dx for f, dx in deltas.items()}}
+            for name, value in moved.items():
+                lo, hi = ranges.bounds[name]
+                assert lo - 1e-12 <= value <= hi + 1e-12
+            assert gower_oracle(base.features, moved, ranges.ranges) == pytest.approx(ceiling, abs=1e-12)
+            assert model.score_samples([make_sample("m", moved)])[0] == pytest.approx(threshold, abs=1e-9)
+
+        shell = similarity_shell(base, vary, ranges, d=d, n=100, seed=seed)
+        _, scored = score_shell(model, base, shell, threshold)
+        for entry in scored:
+            if entry.crossed:
+                assert entry.similarity <= ceiling + 1e-12
+        if ceiling + 1e-12 < d:
+            assert not recourse_probe(model, base, shell, threshold).recourse_found
