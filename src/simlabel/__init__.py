@@ -39,7 +39,7 @@ from .model import (
 from .probe import (
     ProbeGrid,
     RecourseReport,
-    ShellSample,
+    Shell,
     probability_grid,
     recourse_probe,
     score_shell,
@@ -61,7 +61,7 @@ __all__ = [
     "Role",
     "Sample",
     "ScoreFile",
-    "ShellSample",
+    "Shell",
     "SimilarityParams",
     "SimlabelError",
     "TrainConfig",

@@ -119,7 +119,7 @@ def _unit(value, base: Path) -> float:
 
 
 def _axis(value, base: Path) -> tuple[float, float, int]:
-    if not isinstance(value, (list, tuple)) or len(value) != 3:
+    if not isinstance(value, (list, tuple)) or len(value) != 3 or any(isinstance(v, bool) for v in value):
         raise ValueError(value)
     low, high = float(value[0]), float(value[1])
     if not math.isfinite(low) or not math.isfinite(high):
@@ -164,6 +164,8 @@ def _resolve(option: Option, args: argparse.Namespace, section: dict, config_pat
             continue
         parse, must_be = KINDS[option.kind]
         try:
+            if isinstance(value, bool):  # JSON's true and false, which Python reads as 1 and 0
+                raise TypeError(value)
             return parse(value, base)
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"{option.name} must be {must_be}, got {value!r} from {source}") from err
@@ -436,12 +438,11 @@ def cmd_probe_shell(run: Run) -> str:
     shell = probe_mod.similarity_shell(base, vary, ranges, d, run["count"], run["seed"], workers=run["workers"])
 
     model_path = run["model"] or run.out / "model_plain.json"
-    if model_path.exists():
-        fitted = model_mod.load_model(model_path)
+    if run["model"] or model_path.exists():  # a --model that is given must exist
+        fitted = model_mod.load_model(run.artifact("model_plain.json", model_path))
         threshold = run["class_threshold"]
-        base_score, shell = probe_mod.score_shell(fitted, base, shell, threshold)
-        scores = {base.id: base_score, **{entry.sample.id: entry.score for entry in shell}}
-        report = probe_mod.recourse_probe(scores, base, shell, threshold)
+        shell = probe_mod.score_shell(fitted, shell, threshold)
+        report = probe_mod.recourse_probe(shell)
         recourse_path = run.out / f"recourse_{_slug(base.id)}.json"
         probe_mod.save_recourse_report(report, recourse_path, extra={"run_config": {
             "d": d, "count": run["count"], "seed": run["seed"], "vary": list(vary),
@@ -449,7 +450,7 @@ def cmd_probe_shell(run: Run) -> str:
         }})
         verdict = "found" if report.recourse_found else "not found"
         summary_extra = (
-            f"; base score {base_score!r}, recourse {verdict} "
+            f"; base score {shell.base_score!r}, recourse {verdict} "
             f"({report.crossed_count} crossings) -> {recourse_path}"
         )
     else:

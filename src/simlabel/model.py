@@ -188,6 +188,9 @@ def train_logistic(
         unknown = [f for f in features if f not in schema.feature_columns]
         if unknown:
             raise ModelError(f"features not in schema: {', '.join(unknown)}")
+        repeated = list(dict.fromkeys(f for f in features if features.count(f) > 1))
+        if repeated:
+            raise ModelError(f"features named more than once: {', '.join(repeated)}")
         features = tuple(features)
 
     unlabeled = [row.id for row in train.rows if row.label is None]

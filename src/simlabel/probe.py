@@ -8,9 +8,9 @@ points the model classifies differently answers whether recourse exists
 within that similarity, and the closest such point doubles as a candidate
 action list.
 
-The grid (one feature matrix) and `score_shell` score with a `LinearModel`;
-`recourse_probe` also takes an id -> score mapping, such as a `ScoreFile`'s
-`scores_by_id()`. Any other scorer raises `ProbeError`.
+A shell is one `Shell` of arrays: a row of values and a similarity per draw.
+The grid and `score_shell` score with a `LinearModel` (any other scorer raises
+`ProbeError`), and `recourse_probe` reads the scores `score_shell` attaches.
 
 Shell generation splits the total divergence budget (feature count times
 1 - d) across the varied features with uniform random simplex weights, moves
@@ -25,9 +25,9 @@ every still-pending sample per round.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .kernel import RangeTable, similarity_block
 from .model import LinearModel
 
 MAX_SHELL_ATTEMPTS = 64
+_SHELL_ID = "{}-shell-{:05d}"  # base id, draw index
 
 
 def _linear(model) -> LinearModel:
@@ -102,27 +103,49 @@ def probability_grid(
     y_values = axis(y_axis, "y")
     nx, ny = len(x_values), len(y_values)
 
-    points = np.repeat(feature_matrix([base], model.features), nx * ny, axis=0)
-    points[:, model.features.index(fx)] = np.repeat(x_values, ny)
-    points[:, model.features.index(fy)] = np.tile(y_values, nx)
+    points = np.column_stack([np.repeat(x_values, ny), np.tile(y_values, nx)])
     return ProbeGrid(
         sample_id=base.id,
         feature_x=fx,
         feature_y=fy,
         x_values=x_values,
         y_values=y_values,
-        probabilities=model.score_matrix(points).reshape(nx, ny),
+        probabilities=_score_points(model, base, (fx, fy), points).reshape(nx, ny),
     )
 
 
-@dataclass(frozen=True)
-class ShellSample:
-    """One perturbed copy of the base sample, verified to satisfy the similarity floor."""
+def _score_points(model: LinearModel, base: Sample, columns: Sequence[str], values: np.ndarray) -> np.ndarray:
+    """Scores of the base with `columns` set to each row of values; missing cells get train means."""
+    points = np.repeat(feature_matrix([base], model.features), len(values), axis=0)
+    for j, name in enumerate(columns):
+        if name in model.weights:
+            points[:, model.features.index(name)] = values[:, j]
+    return model.score_matrix(points)
 
-    sample: Sample
-    similarity: float
-    score: float | None = None
-    crossed: bool | None = None
+
+@dataclass(frozen=True, eq=False)
+class Shell:
+    """Draws around one base sample, each within the similarity floor.
+
+    Draw i is the base with the `vary` features set to `values[i]`, at
+    similarity `similarity[i]`, with id `ids()[i]`. `score_shell` fills in
+    the scores and which draws the threshold classifies unlike the base.
+    """
+
+    base: Sample
+    vary: tuple[str, ...]
+    values: np.ndarray  # shape (n, len(vary))
+    similarity: np.ndarray  # shape (n,)
+    base_score: float | None = None
+    scores: np.ndarray | None = None  # shape (n,)
+    crossed: np.ndarray | None = None  # shape (n,), bool
+    class_threshold: float | None = None
+
+    def __len__(self) -> int:
+        return len(self.similarity)
+
+    def ids(self) -> list[str]:
+        return [_SHELL_ID.format(self.base.id, i) for i in range(len(self))]
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -161,7 +184,7 @@ def similarity_shell(
     n: int,
     seed: int,
     workers: int = 1,
-) -> list[ShellSample]:
+) -> Shell:
     """Draw n perturbations of the vary features with Gower similarity >= d to base.
 
     Sample i is a function of (seed, i) only: attempt a of k varied features
@@ -179,6 +202,9 @@ def similarity_shell(
     """
     if not vary:
         raise ProbeError("similarity_shell needs a non-empty vary set")
+    repeated = list(dict.fromkeys(f for f in vary if vary.count(f) > 1))
+    if repeated:
+        raise ProbeError(f"vary features named more than once: {', '.join(repeated)}")
     unknown = [f for f in vary if f not in ranges.ranges]
     if unknown:
         raise ProbeError(f"vary features not in the range table: {', '.join(unknown)}")
@@ -230,45 +256,42 @@ def similarity_shell(
             f"could not draw a shell sample above similarity {d} after "
             f"{MAX_SHELL_ATTEMPTS} attempts (index {pending[0]})"
         )
-    del words, exponentials, shares, signs, moved, trial  # the last round's draws, before the samples
-
-    rows = (row.tolist() for row in values)  # one row at a time, not a second copy of all
-    return [
-        ShellSample(Sample(
-            id=f"{base.id}-shell-{i:05d}", timestamp=base.timestamp,
-            features=base.features | dict(zip(vary, row)),
-            source=base.source, vote=base.vote, matched_count=base.matched_count,
-        ), sim)
-        for i, (row, sim) in enumerate(zip(rows, similarity.tolist()))
-    ]
+    return Shell(base, tuple(vary), values, similarity)
 
 
-def score_shell(
-    model: LinearModel,
-    base: Sample,
-    shell: Sequence[ShellSample],
-    class_threshold: float = 0.5,
-) -> tuple[float, list[ShellSample]]:
-    """Attach model scores and boundary-crossing flags; returns (base score, shell)."""
-    base_score, scores = _shell_scores(_linear(model), base, shell)
-    base_class = classify(base_score, class_threshold)
-    scored = [
-        ShellSample(entry.sample, entry.similarity, score, classify(score, class_threshold) != base_class)
-        for entry, score in zip(shell, scores)
-    ]
-    return base_score, scored
+def score_shell(model: LinearModel, shell: Shell, class_threshold: float = 0.5) -> Shell:
+    """The shell with scores attached: the base's, every draw's, and which draws cross.
+
+    The base is the first row of the one scored matrix. A tie at the
+    threshold classifies as +1, as in `classify`.
+    """
+    model = _linear(model)
+    base_values = [[shell.base.features[name] for name in shell.vary]]
+    scores = _score_points(model, shell.base, shell.vary, np.vstack([base_values, shell.values]))
+    base_score, scores = float(scores[0]), scores[1:]
+    crossed = (scores >= class_threshold) != (base_score >= class_threshold)
+    return replace(shell, base_score=base_score, scores=scores, crossed=crossed,
+                   class_threshold=class_threshold)
 
 
-def shell_to_csv_text(shell: Sequence[ShellSample], feature_names: Sequence[str]) -> str:
-    """Long-format shell output: coordinates, similarity, score, crossed flag."""
+def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> str:
+    """Long-format shell output: coordinates, similarity, score, crossed flag.
 
-    def cells(entry: ShellSample) -> list:
-        features = entry.sample.features
-        crossed = None if entry.crossed is None else int(entry.crossed)
-        return [entry.sample.id, *(_cell(features.get(name)) for name in feature_names),
-                _cell(entry.similarity), _cell(entry.score), crossed]
+    A feature the base lacks and does not vary is an empty cell, and so are
+    the score and the flag of an unscored shell.
+    """
+    at = {name: j for j, name in enumerate(shell.vary)}
+    fixed = [_cell(shell.base.features.get(name)) for name in feature_names]
 
-    return csv_text(["id", *feature_names, "similarity", "score", "crossed"], map(cells, shell))
+    def cells(i: int, row: list[float], similarity: float, score: float | None, crossed: int | None) -> list:
+        features = (_cell(row[at[name]]) if name in at else cell for name, cell in zip(feature_names, fixed))
+        return [_SHELL_ID.format(shell.base.id, i), *features, _cell(similarity), _cell(score), crossed]
+
+    n, scored = len(shell), shell.scores is not None
+    rows = map(cells, range(n), (row.tolist() for row in shell.values), shell.similarity.tolist(),
+               shell.scores.tolist() if scored else [None] * n,
+               shell.crossed.astype(int).tolist() if scored else [None] * n)
+    return csv_text(["id", *feature_names, "similarity", "score", "crossed"], rows)
 
 
 @dataclass(frozen=True)
@@ -300,84 +323,55 @@ class RecourseReport:
         return asdict(self)
 
 
-def _shell_scores(model_or_scores, base: Sample, shell: Sequence[ShellSample]) -> tuple[float, list[float]]:
-    if isinstance(model_or_scores, Mapping):
-        ids = [base.id] + [entry.sample.id for entry in shell]
-        missing = [sample_id for sample_id in ids if sample_id not in model_or_scores]
-        if missing:
-            raise ProbeError(
-                f"external scores missing {len(missing)} ids: {', '.join(missing[:5])}"
-            )
-        scores = [float(model_or_scores[sample_id]) for sample_id in ids]
-    else:
-        samples = [base] + [entry.sample for entry in shell]
-        scores = [float(s) for s in _linear(model_or_scores).score_samples(samples)]
-    return scores[0], scores[1:]
+def recourse_probe(shell: Shell) -> RecourseReport:
+    """Scan a scored shell (see `score_shell`) for decision-boundary crossings.
 
-
-def recourse_probe(
-    model_or_scores: LinearModel | Mapping[str, float],
-    base: Sample,
-    shell: Sequence[ShellSample],
-    class_threshold: float = 0.5,
-) -> RecourseReport:
-    """Scan the shell for decision-boundary crossings.
-
-    Accepts a `LinearModel` or precomputed scores, an id -> score mapping that
-    covers the base id and every shell id (for a `ScoreFile`, pass its
-    `scores_by_id()`). If a crossing exists, the one with the highest
-    similarity to the base wins (ties broken by id, so the result does not
-    depend on shell ordering) and its per-feature deltas form the candidate
-    recourse action list.
+    If a crossing exists, the one with the highest similarity to the base
+    wins (a tie goes to the smallest id) and its per-feature deltas form the
+    candidate recourse action list.
     """
-    if not shell:
+    if shell.scores is None:
+        raise ProbeError("recourse_probe needs a scored shell; call score_shell first")
+    if not len(shell):
         raise ProbeError("recourse_probe needs a non-empty shell")
-    base_score, scores = _shell_scores(model_or_scores, base, shell)
-    base_class = classify(base_score, class_threshold)
+    base, base_score, threshold = shell.base, shell.base_score, shell.class_threshold
+    similarity, scores = shell.similarity, shell.scores
 
-    crossings: list[tuple[ShellSample, float]] = []
-    max_rate: float | None = None
-    for entry, score in zip(shell, scores):
-        if entry.similarity < 1.0:
-            rate = abs(score - base_score) / (1.0 - entry.similarity)
-            if max_rate is None or rate > max_rate:
-                max_rate = rate
-        if classify(score, class_threshold) != base_class:
-            crossings.append((entry, score))
+    moved = similarity < 1.0
+    rates = np.abs(scores[moved] - base_score) / (1.0 - similarity[moved])
+    crossings = np.flatnonzero(shell.crossed)
 
-    best, best_score = min(
-        crossings, key=lambda pair: (-pair[0].similarity, pair[0].sample.id), default=(None, None)
-    )
-    deltas = targets = None
-    if best is None:
-        floor = min(entry.similarity for entry in shell)
-        message = f"no recourse found within similarity >= {floor!r}"
+    best = deltas = targets = None
+    if not len(crossings):
+        message = f"no recourse found within similarity >= {float(similarity.min())!r}"
     else:
-        deltas, targets = {}, {}
-        for name, value in best.sample.features.items():
-            base_value = base.features.get(name)
-            if base_value is None or value != base_value:
-                deltas[name] = value - base_value if base_value is not None else value
-                targets[name] = value
+        closest = crossings[similarity[crossings] == similarity[crossings].max()]
+        # the smallest id; from index 100,000 on that is not the smallest index
+        best = min(closest.tolist(), key=lambda i: _SHELL_ID.format(base.id, i))
+        row = dict(zip(shell.vary, shell.values[best].tolist()))
+        deltas = {name: row[name] - value for name, value in base.features.items()
+                  if name in row and row[name] != value}
+        targets = {name: row[name] for name in deltas}
         message = (
             f"recourse found: {len(crossings)} of {len(shell)} shell samples cross the "
-            f"decision boundary; closest at similarity {best.similarity!r}"
+            f"decision boundary; closest at similarity {float(similarity[best])!r}"
         )
+    best_score = None if best is None else float(scores[best])
     return RecourseReport(
         base_id=base.id,
         base_score=base_score,
-        base_class=base_class,
-        class_threshold=class_threshold,
+        base_class=classify(base_score, threshold),
+        class_threshold=threshold,
         shell_size=len(shell),
         crossed_count=len(crossings),
         recourse_found=best is not None,
-        best_id=None if best is None else best.sample.id,
-        best_similarity=None if best is None else best.similarity,
+        best_id=None if best is None else _SHELL_ID.format(base.id, best),
+        best_similarity=None if best is None else float(similarity[best]),
         best_score=best_score,
-        best_class=None if best is None else classify(best_score, class_threshold),
+        best_class=None if best is None else classify(best_score, threshold),
         deltas=deltas,
         target_values=targets,
-        max_score_rate=max_rate,
+        max_score_rate=float(rates.max()) if len(rates) else None,
         message=message,
     )
 

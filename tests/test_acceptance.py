@@ -388,20 +388,21 @@ def test_probe_contracts():
 
     for d in (0.8, 0.92, 0.99):
         shell = similarity_shell(base, ["f0", "f1", "f2"], ranges, d=d, n=150, seed=77)
-        for entry in shell:
-            assert gower_oracle(base.features, entry.sample.features, ranges.ranges) >= d
+        for row in shell.values.tolist():
+            point = base.features | dict(zip(shell.vary, row))
+            assert gower_oracle(base.features, point, ranges.ranges) >= d
 
-    shell = similarity_shell(base, ["f0", "f1"], ranges, d=0.85, n=250, seed=78)
-    base_score, scored = score_shell(model, base, shell)
-    report = recourse_probe(model, base, scored)
-    base_class = 1 if base_score >= 0.5 else -1
-    crossings = [s for s in scored if (1 if s.score >= 0.5 else -1) != base_class]
+    shell = score_shell(model, similarity_shell(base, ["f0", "f1"], ranges, d=0.85, n=250, seed=78))
+    report = recourse_probe(shell)
+    base_class = 1 if shell.base_score >= 0.5 else -1
+    ids, similarity = shell.ids(), shell.similarity.tolist()
+    crossings = [i for i, score in enumerate(shell.scores.tolist()) if (1 if score >= 0.5 else -1) != base_class]
     assert report.crossed_count == len(crossings)
     assert report.recourse_found == bool(crossings)
     if crossings:
-        best = min(crossings, key=lambda s: (-s.similarity, s.sample.id))
-        assert report.best_id == best.sample.id
-        assert report.best_similarity == best.similarity
+        best = min(crossings, key=lambda i: (-similarity[i], ids[i]))
+        assert report.best_id == ids[best]
+        assert report.best_similarity == similarity[best]
 
     bx, by = base.features["f0"], base.features["f1"]
     # axes start at the base coordinates, so cell (0, 0) is the base point exactly

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,31 @@ class TestCliErrors:
         assert rc == 1
         assert "test_fraction" in json.loads(capsys.readouterr().err.strip())["message"]
 
+    def test_probe_shell_model_that_is_given_must_exist(self, tmp_path, capsys):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for command in ("split", "ranges", "calibrate"):
+            assert main([command, "--config", str(fx["config"])]) == 0
+        capsys.readouterr()
+        rc = main(["probe-shell", "--config", str(fx["config"]), "--model", "nope.json"])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err.strip())["message"] == (
+            "nope.json not found; run `train` first"
+        )
+        assert not list(fx["out"].glob("shell_*"))
+
+    @pytest.mark.parametrize("command, flags, payload", [
+        ("train", [], {"train": {"features": ["f0", "f0", "f1"]}}),
+        ("probe-shell", ["--vary", "f0,f0"], {}),
+    ], ids=["train-features", "probe-shell-vary"])
+    def test_feature_named_twice_exits_cleanly(self, tmp_path, capsys, command, flags, payload):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10, extra_config=payload)
+        for step in ("split", "ranges", "calibrate"):
+            assert main([step, "--config", str(fx["config"])]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"]), *flags]) == 1
+        assert "named more than once: f0" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not list(fx["out"].glob("model_*")) and not list(fx["out"].glob("shell_*"))
+
     def test_probe_unknown_sample_id(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
         for command in ("split", "ranges", "calibrate"):
@@ -219,10 +245,13 @@ class TestCliExtras:
 
     def test_module_entry_point(self, tmp_path):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        # the child imports the package this suite imports, installed or not
+        package_dir = str(Path(simlabel.matcher.__file__).parents[1])
         result = subprocess.run(
             [sys.executable, "-m", "simlabel", "split", "--config", str(fx["config"])],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))},
         )
         assert result.returncode == 0
         assert "split:" in result.stdout
@@ -320,6 +349,12 @@ class TestCliRobustness:
         pytest.param("split", "seed", None, "1" + "0" * 400, [], id="seed=1e400-as-int"),
         pytest.param("train", "max_iter", "train", "1e999", [], id="max_iter=1e999"),
         pytest.param("probe-shell", "count", "probe", "2.5", [], id="count=2.5"),
+        # JSON's true and false are not numbers, though Python counts them as 1 and 0
+        pytest.param("split", "seed", None, "true", [], id="seed=true"),
+        pytest.param("probe-shell", "count", "probe", "true", [], id="count=true"),
+        pytest.param("split", "test_fraction", "split", "true", [], id="test_fraction=true"),
+        pytest.param("train", "l2", "train", "false", [], id="l2=false"),
+        pytest.param("probe-grid", "y", "probe", "[0, true, 3]", [], id="y-high=true"),
         pytest.param("probe-grid", "y", "probe", "[0, 1, 1e999]", [], id="y-count=1e999"),
         pytest.param("probe-grid", "y", "probe", "[-1e999, 1, 3]", [], id="y-low=-1e999"),
         pytest.param("probe-grid", "x", None, None, ["--x", "0", "1", "inf"], id="--x 0 1 inf"),

@@ -165,6 +165,12 @@ class TestTrainLogistic:
         with pytest.raises(ModelError, match="not in schema"):
             train_logistic(data, features=["f0", "mystery"])
 
+    def test_feature_named_twice_rejected(self):
+        # fitting f0 twice would save one of its two weights
+        data = separable_1d()
+        with pytest.raises(ModelError, match="features named more than once: f0$"):
+            train_logistic(data, features=["f0", "f0", "f1"])
+
     def test_feature_subset_respected(self):
         data = separable_1d()
         model = train_logistic(data, features=["f0"])

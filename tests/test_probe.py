@@ -16,6 +16,7 @@ from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
 from simlabel.probe import (
     MAX_SHELL_ATTEMPTS,
+    Shell,
     probability_grid,
     recourse_probe,
     score_shell,
@@ -125,37 +126,48 @@ class TestProbabilityGrid:
         assert len(lines) == 5
 
 
+def draws(shell):
+    """Every draw of the shell as a feature dict: the base with the varied features set."""
+    return [shell.base.features | dict(zip(shell.vary, row)) for row in shell.values.tolist()]
+
+
+def contents(shell):
+    """What a drawn shell holds, in a form that compares with ==."""
+    return shell.base.id, shell.vary, shell.values.tolist(), shell.similarity.tolist()
+
+
 class TestSimilarityShell:
     def test_floor_of_one_reproduces_the_base(self):
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=1.0, n=5, seed=3)
         assert len(shell) == 5
-        for entry in shell:
-            assert entry.similarity == 1.0
-            for name in ("f0", "f1", "f2"):
-                assert entry.sample.features[name] == BASE.features[name]
+        assert shell.base is BASE and shell.vary == ("f0", "f1")
+        assert shell.values.shape == (5, 2)
+        assert np.all(shell.similarity == 1.0)
+        assert draws(shell) == [BASE.features] * 5
 
     def test_every_sample_verified_by_independent_kernel(self):
         for d in (0.7, 0.9, 0.97):
             shell = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=d, n=200, seed=5)
             assert len(shell) == 200
-            for entry in shell:
-                oracle_sim = gower_oracle(BASE.features, entry.sample.features, RANGES.ranges)
+            for point, similarity in zip(draws(shell), shell.similarity.tolist()):
+                oracle_sim = gower_oracle(BASE.features, point, RANGES.ranges)
                 assert oracle_sim >= d
-                assert entry.similarity == pytest.approx(oracle_sim, abs=1e-12)
+                assert similarity == pytest.approx(oracle_sim, abs=1e-12)
 
     def test_same_seed_reproduces_the_shell(self):
         first = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=50, seed=11)
         second = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=50, seed=11)
-        assert first == second
+        assert contents(first) == contents(second)
 
     def test_different_seed_differs(self):
         first = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=50, seed=11)
         second = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=50, seed=12)
-        assert first != second
+        assert contents(first) != contents(second)
 
     def test_worker_count_does_not_change_output(self):
         shells = {
-            workers: similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.85, n=64, seed=9, workers=workers)
+            workers: contents(similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.85, n=64, seed=9,
+                                               workers=workers))
             for workers in (1, 2, 8)
         }
         assert shells[1] == shells[2] == shells[8]
@@ -163,10 +175,9 @@ class TestSimilarityShell:
     def test_values_clamped_to_observed_bounds(self):
         edge = make_sample("edge", {"f0": 2.0, "f1": 2.0, "f2": 2.0})
         shell = similarity_shell(edge, ["f0", "f1"], RANGES, d=0.5, n=100, seed=13)
-        for entry in shell:
-            for name in ("f0", "f1"):
-                lo, hi = RANGES.bounds[name]
-                assert lo <= entry.sample.features[name] <= hi
+        for j, name in enumerate(shell.vary):
+            lo, hi = RANGES.bounds[name]
+            assert np.all((lo <= shell.values[:, j]) & (shell.values[:, j] <= hi))
 
     def test_zero_range_feature_never_moves(self):
         ranges = RangeTable(
@@ -175,11 +186,15 @@ class TestSimilarityShell:
         )
         base = make_sample("b", {"f0": 0.0, "f1": 1.0})
         shell = similarity_shell(base, ["f0", "f1"], ranges, d=0.8, n=50, seed=17)
-        assert all(entry.sample.features["f1"] == 1.0 for entry in shell)
+        assert np.all(shell.values[:, 1] == 1.0)
 
     def test_empty_vary_rejected(self):
         with pytest.raises(ProbeError, match="non-empty"):
             similarity_shell(BASE, [], RANGES, d=0.9, n=5, seed=1)
+
+    def test_vary_feature_named_twice_rejected(self):
+        with pytest.raises(ProbeError, match="vary features named more than once: f0$"):
+            similarity_shell(BASE, ["f0", "f1", "f0"], RANGES, d=0.9, n=5, seed=1)
 
     def test_unknown_vary_feature_rejected(self):
         with pytest.raises(ProbeError, match="mystery"):
@@ -201,37 +216,62 @@ class TestSimilarityShell:
 
     def test_shell_ids_are_unique_and_traceable(self):
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=20, seed=19)
-        ids = [entry.sample.id for entry in shell]
+        ids = shell.ids()
         assert len(set(ids)) == 20
-        assert all(sid.startswith("base-shell-") for sid in ids)
+        assert ids[0] == "base-shell-00000" and ids[19] == "base-shell-00019"
 
 
 class TestScoreShell:
     def test_scores_and_crossings_attached(self):
         model = linear_model(4.0, 4.0, 0.0, 0.0)
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.7, n=100, seed=23)
-        base_score, scored = score_shell(model, BASE, shell)
+        scored = score_shell(model, shell, 0.5)
         direct = predict_scores(model, Dataset(SCHEMA, [BASE])).rows[0][1]
-        assert base_score == direct
-        for entry in scored:
-            assert entry.score is not None
-            expected_cross = (entry.score >= 0.5) != (base_score >= 0.5)
-            assert entry.crossed == expected_cross
+        assert scored.base_score == direct
+        assert scored.class_threshold == 0.5
+        assert shell.scores is None  # the drawn shell is left as it was
+        points = [make_sample(sid, point) for sid, point in zip(shell.ids(), draws(shell))]
+        assert scored.scores.tolist() == model.score_samples(points).tolist()  # bit-exact
+        for score, crossed in zip(scored.scores.tolist(), scored.crossed.tolist()):
+            assert crossed == ((score >= 0.5) != (direct >= 0.5))
 
     def test_csv_contains_coordinates_and_flags(self):
         model = linear_model()
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=3, seed=29)
-        _, scored = score_shell(model, BASE, shell)
+        scored = score_shell(model, shell)
         lines = shell_to_csv_text(scored, SCHEMA.similarity_features).splitlines()
         assert lines[0] == "id,f0,f1,f2,similarity,score,crossed"
         assert len(lines) == 4
         assert lines[1].split(",")[-1] in ("0", "1")
+        assert lines[1].split(",")[:5] == [
+            "base-shell-00000", repr(float(shell.values[0, 0])), "-0.5", "1.0", repr(float(shell.similarity[0]))
+        ]
+        unscored = shell_to_csv_text(shell, SCHEMA.similarity_features).splitlines()
+        assert [line.rsplit(",", 2)[0] for line in unscored] == [line.rsplit(",", 2)[0] for line in lines]
+        assert all(line.endswith(",,") for line in unscored[1:])
+
+    def test_base_without_an_unvaried_feature(self):
+        # f2 is a similarity feature the base lacks: its cell stays empty, and
+        # the model scores it with its train mean
+        model = LinearModel(
+            weights={"f0": 1.0, "f1": -1.0, "f2": 2.0}, intercept=0.1, l1=0.0, l2=0.0,
+            feature_means={"f0": 0.0, "f1": 0.0, "f2": 0.75},
+            feature_scales={"f0": 1.0, "f1": 1.0, "f2": 1.0}, seed=0,
+        )
+        partial = make_sample("partial", {"f0": 0.5, "f1": -0.5})
+        shell = similarity_shell(partial, ["f0"], RANGES, d=0.9, n=20, seed=71)
+        scored = score_shell(model, shell)
+        lines = shell_to_csv_text(scored, SCHEMA.similarity_features).splitlines()
+        assert all(line.split(",")[3] == "" for line in lines[1:])
+        filled = [make_sample("p", point | {"f2": 0.75}) for point in draws(shell)]
+        assert scored.scores.tolist() == model.score_samples(filled).tolist()
+        assert scored.base_score == model.score_samples([make_sample("b", {"f0": 0.5, "f1": -0.5, "f2": 0.75})])[0]
 
 
 class TestRecourseProbe:
     def test_constant_model_finds_no_recourse(self):
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=50, seed=31)
-        report = recourse_probe(constant_model(), BASE, shell)
+        report = recourse_probe(score_shell(constant_model(), shell))
         assert not report.recourse_found
         assert report.crossed_count == 0
         assert report.best_id is None
@@ -240,21 +280,22 @@ class TestRecourseProbe:
     def test_crossing_matches_exhaustive_scan(self):
         model = linear_model(6.0, 6.0, 0.0, -1.0)
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.7, n=300, seed=37)
-        base_score, scored = score_shell(model, BASE, shell)
-        report = recourse_probe(model, BASE, scored)
+        scored = score_shell(model, shell)
+        report = recourse_probe(scored)
 
-        base_class = 1 if base_score >= 0.5 else -1
+        base_class = 1 if scored.base_score >= 0.5 else -1
+        ids, similarity = shell.ids(), shell.similarity.tolist()
         crossings = [
-            entry
-            for entry in scored
-            if (1 if entry.score >= 0.5 else -1) != base_class
+            i
+            for i, score in enumerate(scored.scores.tolist())
+            if (1 if score >= 0.5 else -1) != base_class
         ]
         assert report.crossed_count == len(crossings)
         if crossings:
-            best = min(crossings, key=lambda e: (-e.similarity, e.sample.id))
+            best = min(crossings, key=lambda i: (-similarity[i], ids[i]))
             assert report.recourse_found
-            assert report.best_id == best.sample.id
-            assert report.best_similarity == best.similarity
+            assert report.best_id == ids[best]
+            assert report.best_similarity == similarity[best]
         else:
             assert not report.recourse_found
 
@@ -262,21 +303,30 @@ class TestRecourseProbe:
         # boundary passes near the base sample, so crossings must exist
         model = linear_model(6.0, 6.0, 0.0, -1.0)
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.7, n=300, seed=37)
-        report = recourse_probe(model, BASE, shell)
+        report = recourse_probe(score_shell(model, shell))
         assert report.recourse_found
         assert report.crossed_count > 0
 
-    def test_result_invariant_to_shell_ordering(self):
-        model = linear_model(6.0, 6.0, 0.0, -1.0)
-        shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.7, n=200, seed=41)
-        forward = recourse_probe(model, BASE, shell)
-        backward = recourse_probe(model, BASE, list(reversed(shell)))
-        assert forward == backward
+    def test_closest_crossings_tie_goes_to_the_smallest_id(self):
+        # rows 5, 10001 and 100000 cross; the last two tie at the highest
+        # similarity, and "base-shell-100000" sorts before "base-shell-10001"
+        n = 100_001
+        values = np.full((n, 1), BASE.features["f0"])
+        similarity = np.ones(n)
+        for row, sim in ((5, 0.9), (10_001, 0.95), (100_000, 0.95)):
+            values[row] = -2.0
+            similarity[row] = sim
+        shell = Shell(BASE, ("f0",), values, similarity)
+        report = recourse_probe(score_shell(linear_model(6.0, 0.0, 0.0, -1.0), shell))
+        assert report.crossed_count == 3
+        assert report.best_id == "base-shell-100000"
+        assert report.best_similarity == 0.95
+        assert report.deltas == {"f0": -2.5} and report.target_values == {"f0": -2.0}
 
     def test_reapplying_deltas_reproduces_reported_score(self):
         model = linear_model(5.0, -3.0, 1.0, 0.2)
         shell = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.75, n=300, seed=43)
-        report = recourse_probe(model, BASE, shell)
+        report = recourse_probe(score_shell(model, shell))
         assert report.recourse_found
         modified = dict(BASE.features)
         for name, delta in report.deltas.items():
@@ -285,54 +335,57 @@ class TestRecourseProbe:
         assert rescored == pytest.approx(report.best_score, abs=1e-12)
 
     def test_base_exactly_at_threshold_classified_positive(self):
+        # a constant model scores everything 0.5: base and draws tie at the
+        # threshold, so all are +1 and nothing crosses
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=30, seed=47)
-        scores = {entry.sample.id: 0.4 for entry in shell}
-        scores[BASE.id] = 0.5  # tie goes to +1
-        report = recourse_probe(scores, BASE, shell)
+        report = recourse_probe(score_shell(constant_model(), shell, 0.5))
         assert report.base_class == 1
+        assert report.crossed_count == 0
+        # the threshold set to the base's own score: the base is +1, and the
+        # draws that score below it cross
+        model = linear_model(2.0, 0.0, 0.0, 0.0)
+        base_score = model.score_samples([BASE])[0]
+        scored = score_shell(model, shell, base_score)
+        report = recourse_probe(scored)
+        assert report.base_class == 1
+        below = scored.scores < base_score
+        assert 0 < below.sum() < len(shell)
+        assert scored.crossed.tolist() == below.tolist()
         assert report.recourse_found
-        assert report.crossed_count == len(shell)
-
-    def test_external_scores_must_cover_all_ids(self):
-        shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=5, seed=53)
-        scores = {entry.sample.id: 0.4 for entry in shell[:-1]}
-        scores[BASE.id] = 0.9
-        with pytest.raises(ProbeError, match="missing"):
-            recourse_probe(scores, BASE, shell)
-
-    def test_score_file_scores_by_id_accepted(self):
-        shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=20, seed=61)
-        model = linear_model(6.0, 6.0, 0.0, -1.0)
-        rows = [BASE] + [entry.sample for entry in shell]
-        scores = predict_scores(model, Dataset(SCHEMA, rows))
-        assert recourse_probe(scores.scores_by_id(), BASE, shell) == recourse_probe(model, BASE, shell)
+        assert report.crossed_count == below.sum()
 
     def test_other_scorers_rejected(self):
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=5, seed=67)
         with pytest.raises(ProbeError, match="cannot score with object of type ScoreFile"):
-            recourse_probe(predict_scores(constant_model(), Dataset(SCHEMA, [BASE])), BASE, shell)
+            score_shell(predict_scores(constant_model(), Dataset(SCHEMA, [BASE])), shell)
         with pytest.raises(ProbeError, match="cannot score with object of type dict"):
-            score_shell({BASE.id: 0.5}, BASE, shell)
+            score_shell({BASE.id: 0.5}, shell)
+
+    def test_unscored_shell_rejected(self):
+        shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=5, seed=67)
+        with pytest.raises(ProbeError, match="needs a scored shell"):
+            recourse_probe(shell)
 
     def test_empty_shell_rejected(self):
+        empty = Shell(BASE, ("f0",), np.empty((0, 1)), np.empty(0))
         with pytest.raises(ProbeError, match="non-empty"):
-            recourse_probe(constant_model(), BASE, [])
+            recourse_probe(score_shell(constant_model(), empty))
 
     def test_sensitivity_rate_reported(self):
         model = linear_model(6.0, 6.0, 0.0, -1.0)
         shell = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=100, seed=59)
-        base_score, scored = score_shell(model, BASE, shell)
-        report = recourse_probe(model, BASE, scored)
+        scored = score_shell(model, shell)
+        report = recourse_probe(scored)
         rates = [
-            abs(entry.score - base_score) / (1.0 - entry.similarity)
-            for entry in scored
-            if entry.similarity < 1.0
+            abs(score - scored.base_score) / (1.0 - similarity)
+            for score, similarity in zip(scored.scores.tolist(), scored.similarity.tolist())
+            if similarity < 1.0
         ]
-        assert report.max_score_rate == pytest.approx(max(rates), abs=1e-12)
+        assert report.max_score_rate == max(rates)
 
 
 def shell_values(shell, names=("f0", "f1", "f2")):
-    return [tuple(entry.sample.features[name] for name in names) for entry in shell]
+    return [tuple(point[name] for name in names) for point in draws(shell)]
 
 
 class TestShellStream:
@@ -343,8 +396,44 @@ class TestShellStream:
         # are redrawn, so redraws are covered too
         short = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=100, seed=3)
         long = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=1000, seed=3)
-        assert short == long[:100]
+        assert short.values.tolist() == long.values[:100].tolist()
+        assert short.similarity.tolist() == long.similarity[:100].tolist()
         assert len(set(shell_values(long))) == 1000  # every index has a stream of its own
+
+    def test_redraws_are_keyed_by_index_not_by_position(self, monkeypatch):
+        # the second run also rejects every third row in the first round, so a
+        # row redrawn in both runs has more rows ahead of it among the pending
+        # ones; its final draw must not change
+        real = simlabel.probe.similarity_block
+        first_round = []
+
+        def record(left, right, ranges):
+            sims = real(left, right, ranges)
+            if not first_round:
+                first_round.append(sims[0] < 0.8)
+            return sims
+
+        monkeypatch.setattr(simlabel.probe, "similarity_block", record)
+        plain = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=300, seed=3)
+        redrawn = first_round[0]
+
+        calls = []
+
+        def reject_more(left, right, ranges):
+            sims = real(left, right, ranges)
+            if not calls:
+                sims[0, ::3] = 0.0
+            calls.append(len(right))
+            return sims
+
+        monkeypatch.setattr(simlabel.probe, "similarity_block", reject_more)
+        shaken = similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.8, n=300, seed=3)
+        extra = np.arange(300) % 3 == 0
+        assert calls[1] == np.count_nonzero(redrawn | extra)
+        both = redrawn & ~extra
+        assert np.count_nonzero(both) >= 20
+        assert shaken.values[both].tolist() == plain.values[both].tolist()
+        assert shaken.values[~extra].tolist() == plain.values[~extra].tolist()
 
     def test_mean_share_per_feature_is_one_over_k(self):
         names = ("a", "b", "c", "e")
@@ -355,8 +444,8 @@ class TestShellStream:
         d = 0.9
         shell = similarity_shell(base, list(names), ranges, d=d, n=5000, seed=101)
         budget = len(names) * (1.0 - d)
-        for name in names:
-            shares = [abs(entry.sample.features[name]) / (budget * spreads[name]) for entry in shell]
+        for j, name in enumerate(names):
+            shares = np.abs(shell.values[:, j]) / (budget * spreads[name])
             assert abs(np.mean(shares) - 0.25) <= 0.02, name
 
     # the natural words, then every word 0 and every word 2**64 - 1: the
@@ -370,9 +459,9 @@ class TestShellStream:
         # a NaN cell counts as missing in the kernel, so the other two features
         # alone would pass the floor; d = 0.5 clamps the largest moves
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.5, n=200, seed=5)
-        values = [entry.sample.features["f0"] for entry in shell]
-        assert not any(math.isnan(value) for value in values)
-        assert all(-2.0 <= value <= 2.0 for value in values)
+        values = shell.values[:, 0]
+        assert not np.isnan(values).any()
+        assert np.all((-2.0 <= values) & (values <= 2.0))
 
     @given(low=st.floats(-3.0, 3.0), spread=st.floats(0.01, 4.0), at=st.floats(0.0, 1.0),
            d=st.floats(0.0, 1.0), seed=st.integers(0, 2**70))
@@ -385,9 +474,9 @@ class TestShellStream:
         ranges = RangeTable(ranges={"f0": high - low}, bounds={"f0": (low, high)})
         base = make_sample("b", {"f0": min(low + at * (high - low), high)})
         shell = similarity_shell(base, ["f0"], ranges, d=d, n=5, seed=seed)
-        for entry in shell:
-            assert entry.similarity >= d
-            assert gower_oracle(base.features, entry.sample.features, ranges.ranges) >= d
+        assert np.all(shell.similarity >= d)
+        for point in draws(shell):
+            assert gower_oracle(base.features, point, ranges.ranges) >= d
 
     def test_draws_rejected_every_round_name_the_lowest_index(self, monkeypatch):
         rounds = []
@@ -406,7 +495,8 @@ class TestShellStream:
         shells = {seed: similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=seed)
                   for seed in seeds}
         assert len({tuple(shell_values(shell)) for shell in shells.values()}) == len(seeds)
-        assert similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=2**100) == shells[2**100]
+        again = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=2**100)
+        assert contents(again) == contents(shells[2**100])
 
 
 @st.composite
@@ -455,10 +545,7 @@ class TestExactLinearRecourse:
             assert gower_oracle(base.features, moved, ranges.ranges) == pytest.approx(ceiling, abs=1e-12)
             assert model.score_samples([make_sample("m", moved)])[0] == pytest.approx(threshold, abs=1e-9)
 
-        shell = similarity_shell(base, vary, ranges, d=d, n=100, seed=seed)
-        _, scored = score_shell(model, base, shell, threshold)
-        for entry in scored:
-            if entry.crossed:
-                assert entry.similarity <= ceiling + 1e-12
+        scored = score_shell(model, similarity_shell(base, vary, ranges, d=d, n=100, seed=seed), threshold)
+        assert np.all(scored.similarity[scored.crossed] <= ceiling + 1e-12)
         if ceiling + 1e-12 < d:
-            assert not recourse_probe(model, base, shell, threshold).recourse_found
+            assert not recourse_probe(scored).recourse_found
