@@ -12,6 +12,9 @@ that accept the flag, its type and its default. A flag beats the environment
 variable (SIMLABEL_OUT_DIR, SIMLABEL_WORKERS), which beats the config file,
 which beats the default. Paths in the config file are relative to it; paths
 given by flag or environment are relative to the working directory.
+
+Each command imports the library modules it computes with, so `split`,
+`report` and `--help` never load numpy.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from . import augment as augment_mod
-from . import evaluation, kernel, matcher, model as model_mod, probe as probe_mod
 from .dataset import Dataset, Sample, load_dataset, load_schema, read_json, write_dataset, write_json
 from .dataset import atomic_write_text, time_holdout_split
 from .errors import ConfigError, MissingArtifactError, SimlabelError
@@ -127,9 +128,11 @@ def _axis(value, base: Path) -> tuple[float, float, int]:
     return (low, high, _int(value[2], base))
 
 
-def _names(value, base: Path) -> list[str] | None:
+def _names(value, base: Path) -> list[str]:
     parts = value.split(",") if isinstance(value, str) else list(value)
-    return [str(part).strip() for part in parts] or None
+    if not parts:  # an empty list is refused, not read as "every feature"
+        raise ValueError(value)
+    return [str(part).strip() for part in parts]
 
 
 def _scores(value, base: Path) -> list[tuple[str, Path]]:
@@ -147,7 +150,7 @@ KINDS = {
     "str": (lambda value, base: str(value), "a string"),
     "path": (lambda value, base: base / str(value), "a path"),
     "axis": (_axis, "[low, high, count]"),
-    "names": (_names, "a list of feature names"),
+    "names": (_names, "a non-empty list of feature names"),
     "scores": (_scores, "a list of objects with 'name' and 'path'"),
 }
 
@@ -251,6 +254,7 @@ def cmd_split(run: Run) -> str:
 
 
 def cmd_ranges(run: Run) -> str:
+    from . import kernel
     labeled, unlabeled = run.dataset("labeled"), run.dataset("unlabeled")
     table = kernel.compute_ranges([labeled, unlabeled], run.schema)
     kernel.save_range_table(table, run.out / "ranges.json")
@@ -261,6 +265,7 @@ def cmd_ranges(run: Run) -> str:
 
 
 def cmd_calibrate(run: Run) -> str:
+    from . import kernel, matcher
     ranges = kernel.load_range_table(run.artifact("ranges.json"))
     train, unlabeled = run.dataset("train.csv"), run.dataset("unlabeled")
     result = matcher.calibrate(
@@ -281,6 +286,7 @@ def cmd_calibrate(run: Run) -> str:
 
 
 def cmd_match(run: Run) -> str:
+    from . import kernel, matcher
     ranges = kernel.load_range_table(run.artifact("ranges.json"))
     params = matcher.load_params(run.artifact("params.json"))
     sides = {"train": run.dataset("train.csv"), "test": run.dataset("test.csv")}
@@ -302,6 +308,7 @@ def cmd_match(run: Run) -> str:
 
 
 def cmd_augment(run: Run) -> str:
+    from . import augment as augment_mod, matcher
     train, unlabeled = run.dataset("train.csv"), run.dataset("unlabeled")
     similar = {
         side: augment_mod.build_similar_dataset(
@@ -321,6 +328,7 @@ def cmd_augment(run: Run) -> str:
 
 
 def cmd_train(run: Run) -> str:
+    from . import model as model_mod
     settings = {name: run[name] for name in ("l1", "l2", "max_iter", "tol", "seed")}
     parts = []
     for kind, data_name in (("plain", "train.csv"), ("augmented", "augmented_train.csv")):
@@ -337,6 +345,7 @@ def cmd_train(run: Run) -> str:
 
 
 def cmd_score(run: Run) -> str:
+    from . import model as model_mod
     test, similar = run.dataset("test.csv"), run.optional("similar_test.csv")
     rows: list[Sample] = list(test.rows)
     if similar is not None:
@@ -360,6 +369,7 @@ def cmd_score(run: Run) -> str:
 
 
 def cmd_evaluate(run: Run) -> str:
+    from . import evaluation, model as model_mod
     testsets, notes = {"real": run.dataset("test.csv")}, []
     similar = run.optional("similar_test.csv")
     if similar is None:
@@ -386,6 +396,7 @@ def cmd_evaluate(run: Run) -> str:
 
 
 def cmd_report(run: Run) -> str:
+    from . import evaluation
     report = evaluation.load_report(run.artifact("eval_report.json"))
     atomic_write_text(run.out / "eval_report.txt", report.render_text())
     return (
@@ -406,6 +417,7 @@ def _probe_base(run: Run) -> Sample:
 
 
 def cmd_probe_grid(run: Run) -> str:
+    from . import kernel, model as model_mod, probe as probe_mod
     fitted = model_mod.load_model(run.artifact("model_plain.json", run["model"]))
     base = _probe_base(run)
     features = run.schema.similarity_features  # a schema has at least one
@@ -431,6 +443,7 @@ def cmd_probe_grid(run: Run) -> str:
 
 
 def cmd_probe_shell(run: Run) -> str:
+    from . import kernel, matcher, model as model_mod, probe as probe_mod
     ranges = kernel.load_range_table(run.artifact("ranges.json"))
     base = _probe_base(run)
     d = run["d"] if run["d"] is not None else matcher.load_params(run.artifact("params.json")).d

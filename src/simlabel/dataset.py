@@ -21,11 +21,12 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import DataError, SchemaError, SimlabelError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SOURCE_REAL = "real"
 SOURCE_SIMILAR = "similar"
@@ -217,6 +218,8 @@ class Dataset:
 
 def feature_matrix(rows: Sequence[Sample], names: Sequence[str]) -> np.ndarray:
     """The named features of each row as a float64 array, NaN where a cell is missing."""
+    import numpy as np  # the module's only numpy user; loading and writing CSV never need it
+
     cells = [[row.features.get(name, math.nan) for name in names] for row in rows]
     return np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
 

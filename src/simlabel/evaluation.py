@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .dataset import Dataset, read_json, write_json
 from .errors import EvalError
-from .model import ScoreFile
+
+if TYPE_CHECKING:  # annotations only: model imports numpy, which `report` never needs
+    from .model import ScoreFile
 
 EXACT_VARIANT = "exact-binomial"
 CHI_SQUARE_VARIANT = "chi-square"

@@ -59,10 +59,11 @@ class ProbeGrid:
     probabilities: np.ndarray  # shape (len(x_values), len(y_values))
 
     def to_csv_text(self) -> str:
+        # each axis value is formatted once; the scores come out x-major, as the rows do
+        xs, ys = [_cell(x) for x in self.x_values], [_cell(y) for y in self.y_values]
+        scores = iter(self.probabilities.ravel().tolist())
         return csv_text([self.feature_x, self.feature_y, "score"], (
-            (_cell(x), _cell(y), _cell(self.probabilities[i, j]))
-            for i, x in enumerate(self.x_values)
-            for j, y in enumerate(self.y_values)
+            (x, y, _cell(next(scores))) for x in xs for y in ys
         ))
 
 

@@ -200,6 +200,25 @@ class TestCliErrors:
         assert "named more than once: f0" in json.loads(capsys.readouterr().err.strip())["message"]
         assert not list(fx["out"].glob("model_*")) and not list(fx["out"].glob("shell_*"))
 
+    @pytest.mark.parametrize("command, flags, key, section", [
+        ("train", [], "features", "train"),
+        ("probe-shell", ["--sample-id", "l0000"], "vary", "probe"),
+    ], ids=["train-features", "probe-shell-vary"])
+    def test_empty_feature_list_exits_cleanly(self, tmp_path, capsys, command, flags, key, section):
+        # an empty list is not "unset": it used to train on, or vary, every feature
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for step in ("split", "ranges", "calibrate"):
+            assert main([step, "--config", str(fx["config"])]) == 0
+        payload = json.loads(fx["config"].read_text())
+        payload[section] = {key: []}
+        fx["config"].write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"]), *flags]) == 1
+        assert one_error_line(capsys)["message"] == (
+            f"{key} must be a non-empty list of feature names, got [] from {fx['config']}"
+        )
+        assert not list(fx["out"].glob("model_*")) and not list(fx["out"].glob("shell_*"))
+
     def test_probe_unknown_sample_id(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
         for command in ("split", "ranges", "calibrate"):

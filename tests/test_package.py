@@ -1,0 +1,117 @@
+"""The package surface: lazy public names and submodules, and which runs load numpy."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import simlabel
+from conftest import write_pipeline_fixture
+from simlabel.cli import main
+
+# the public API; a name dropped from the package's table fails here
+PUBLIC = {
+    "Dataset", "EvalReport", "FeatureSchema", "LinearModel", "MatchResult", "McNemarResult",
+    "ProbeGrid", "RangeTable", "RecourseReport", "Role", "Sample", "ScoreFile", "Shell",
+    "SimilarityParams", "SimlabelError", "TrainConfig", "auc_roc", "build_similar_dataset",
+    "calibrate_confidence_threshold", "calibrate_similarity_threshold", "compute_ranges",
+    "estimate_label", "evaluate_table", "gower_similarity", "load_dataset", "load_external_scores",
+    "load_schema", "match_batch", "mcnemar_test", "merge_datasets", "predict_scores",
+    "probability_grid", "recourse_probe", "score_shell", "similarity_shell", "time_holdout_split",
+    "train_logistic", "write_dataset",
+}
+# every submodule but __main__, which runs the CLI when imported
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(simlabel.__path__) if m.name != "__main__")
+
+
+def child(*args: str) -> subprocess.CompletedProcess:
+    """`python -X importtime *args` in a fresh interpreter that imports this suite's package."""
+    package_dir = str(Path(simlabel.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result
+
+
+def imported(result: subprocess.CompletedProcess) -> set[str]:
+    """The modules a child imported, from its -X importtime lines."""
+    lines = [line for line in result.stderr.splitlines() if line.startswith("import time:")]
+    names = {line.rsplit("|", 1)[1].strip() for line in lines}
+    assert "simlabel" in names, result.stderr[-2000:]
+    return names
+
+
+class TestExports:
+    def test_every_public_name_is_the_object_its_module_defines(self):
+        assert set(simlabel.__all__) == PUBLIC
+        for name in simlabel.__all__:
+            value = getattr(simlabel, name)
+            assert value.__module__.startswith("simlabel."), name
+            assert getattr(sys.modules[value.__module__], name) is value, name
+
+    def test_every_submodule_resolves_as_an_attribute_in_a_fresh_interpreter(self):
+        assert {"cli", "dataset", "kernel", "probe"} <= set(SUBMODULES)
+        code = (
+            "import sys, simlabel\n"
+            "for name in sys.argv[1:]:\n"
+            "    module = getattr(simlabel, name)\n"
+            "    assert module is sys.modules['simlabel.' + name], name\n"
+            "print('ok')\n"
+        )
+        assert child("-c", code, *SUBMODULES).stdout == "ok\n"
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from simlabel import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(simlabel.__all__)
+
+    def test_dir_lists_the_public_names_and_submodules(self):
+        listed = dir(simlabel)
+        assert set(simlabel.__all__) <= set(listed)
+        assert set(SUBMODULES) <= set(listed)
+        assert listed == sorted(listed)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+            simlabel.nope
+        assert not hasattr(simlabel, "__main__")
+        with pytest.raises(ImportError, match="cannot import name 'nope'"):
+            exec("from simlabel import nope", {})
+
+
+class TestNumpyLoadsOnlyWhereItComputes:
+    @pytest.fixture(scope="class")
+    def fixture(self, tmp_path_factory):
+        fx = write_pipeline_fixture(tmp_path_factory.mktemp("lazy"), n_labeled_per=20, n_unlabeled_per=60)
+        for command in ("split", "ranges", "calibrate", "match", "augment", "train", "score", "evaluate"):
+            assert main([command, "--config", str(fx["config"])]) == 0, command
+        return fx
+
+    def test_import_and_dataset_loaders(self, fixture):
+        code = (
+            "import sys, simlabel\n"
+            "schema = simlabel.load_schema(sys.argv[1])\n"
+            "print(len(simlabel.load_dataset(sys.argv[2], schema)))\n"
+        )
+        result = child("-c", code, str(fixture["schema"]), str(fixture["labeled"]))
+        assert result.stdout == "40\n"
+        assert "numpy" not in imported(result)
+
+    def test_help(self):
+        result = child("-m", "simlabel", "--help")
+        assert "probe-shell" in result.stdout
+        assert "numpy" not in imported(result)
+
+    @pytest.mark.parametrize("command", ["split", "report"])
+    def test_commands_without_arrays(self, fixture, command):
+        result = child("-m", "simlabel", command, "--config", str(fixture["config"]))
+        assert result.stdout.startswith(f"{command}:")
+        assert "numpy" not in imported(result)
+
+    def test_ranges_does_load_numpy(self, fixture):
+        result = child("-m", "simlabel", "ranges", "--config", str(fixture["config"]))
+        assert "numpy" in imported(result)

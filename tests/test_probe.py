@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from conftest import make_sample, make_schema
 import simlabel.probe
 from oracles import exact_linear_recourse, gower_oracle
-from simlabel.dataset import Dataset
+from simlabel.dataset import Dataset, _cell, csv_text
 from simlabel.errors import ProbeError
 from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
 from simlabel.probe import (
     MAX_SHELL_ATTEMPTS,
+    ProbeGrid,
     Shell,
     probability_grid,
     recourse_probe,
@@ -124,6 +125,25 @@ class TestProbabilityGrid:
         lines = grid.to_csv_text().splitlines()
         assert lines[0] == "f0,f1,score"
         assert len(lines) == 5
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_text_equals_one_cell_at_a_time(self, data):
+        # a few values drawn from a small pool, so axes repeat values and hold -0.0
+        pool = data.draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=4))
+        value = st.sampled_from([*pool, 0.0, -0.0])
+        x_values = tuple(data.draw(st.lists(value, min_size=1, max_size=5)))
+        y_values = tuple(data.draw(st.lists(value, min_size=1, max_size=5)))
+        cells = [data.draw(st.floats(0.0, 1.0)) for _ in range(len(x_values) * len(y_values))]
+        probabilities = np.array(cells).reshape(len(x_values), len(y_values))
+        if data.draw(st.booleans()):  # the same scores laid out column-major
+            probabilities = np.asfortranarray(probabilities)
+        grid = ProbeGrid("b", "f0", "f1", x_values, y_values, probabilities)
+        assert grid.to_csv_text() == csv_text(["f0", "f1", "score"], [
+            (_cell(x), _cell(y), _cell(probabilities[i, j]))
+            for i, x in enumerate(x_values)
+            for j, y in enumerate(y_values)
+        ])
 
 
 def draws(shell):
