@@ -530,8 +530,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         summary = _DISPATCH[args.command][0](load_config(args.config, args))
-    except (SimlabelError, OSError) as err:
-        line = json.dumps({"status": "error", "command": command, "message": str(err)})
+    except (SimlabelError, OSError, MemoryError) as err:
+        # a bare MemoryError has no text; numpy's names the allocation it refused
+        line = json.dumps({"status": "error", "command": command, "message": str(err) or "out of memory"})
         print(line, file=sys.stderr)
         return 1
     print(summary)

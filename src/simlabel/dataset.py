@@ -130,17 +130,12 @@ def read_json(path: str | Path, error: type[SimlabelError], what: str):
         raise error(f"{what} {path} is not valid JSON: {err}") from err
 
 
-def _cell(value: float | None) -> str:
-    # repr() of a builtin float is the shortest round-tripping form, so written
-    # values reload exactly; float() strips numpy scalar types first
-    return "" if value is None else repr(float(value))
-
-
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The CSV artifact format: one header row, then the rows, each ending in "\\n".
 
-    Cells are strings, ints or None (written as an empty cell); float cells go
-    through `_cell` first, so every writer shares one float rule.
+    Cells are strings, ints, builtin floats or None. csv.writer writes a float
+    as its shortest repr, which reloads to the same float, and None as an
+    empty cell; a numpy scalar must be converted with float() or .tolist().
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -250,6 +245,9 @@ def load_dataset(
         raise DataError(
             f"{path}: header is missing schema columns: {', '.join(missing_cols)}"
         )
+    repeated = [name for name, _ in schema.columns if header.count(name) > 1]
+    if repeated:
+        raise DataError(f"{path}: header names schema column(s) more than once: {', '.join(repeated)}")
     id_at, ts_at, label_at = (
         header.index(name) for name in (schema.id_column, schema.timestamp_column, schema.label_column)
     )
@@ -356,9 +354,9 @@ def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
             elif role is Role.LABEL:
                 line.append(row.label)
             else:
-                line.append(_cell(row.features.get(name)))
+                line.append(row.features.get(name))
         if include_provenance:
-            line += [row.source, _cell(row.vote), row.matched_count]
+            line += [row.source, row.vote, row.matched_count]
         return line
 
     return csv_text(header, map(cells, data.rows))
@@ -391,11 +389,10 @@ def write_dataset(data: Dataset, path: str | Path, include_provenance: bool = Fa
 def time_holdout_split(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
     """Split at a holdout date so training never sees rows at or after it.
 
-    The holdout date H is the earliest timestamp, scanning back from the most
-    recent, at which the rows with timestamp >= H first reach
-    ceil(test_fraction * N). Rows sharing the boundary timestamp all land in
-    test, so the test side may exceed the exact fraction but never leaks into
-    train.
+    The holdout date H is the timestamp of the k-th most recent row, where
+    k = ceil(test_fraction * N): the latest H with at least k rows at or after
+    it. Rows sharing the boundary timestamp all land in test, so the test side
+    may exceed the exact fraction but never leaks into train.
     """
     if not 0.0 <= test_fraction <= 1.0:
         raise ValueError(f"test_fraction must be in [0, 1], got {test_fraction}")
@@ -411,18 +408,7 @@ def time_holdout_split(data: Dataset, test_fraction: float) -> tuple[Dataset, Da
         test = Dataset(data.schema, [], f"{data.provenance} | holdout test (empty, fraction 0)")
         return train, test
 
-    counts: dict[datetime, int] = {}
-    for row in data.rows:
-        counts[row.timestamp] = counts.get(row.timestamp, 0) + 1
-    cumulative = 0
-    holdout = None
-    for ts in sorted(counts, reverse=True):
-        cumulative += counts[ts]
-        if cumulative >= target:
-            holdout = ts
-            break
-    assert holdout is not None  # target <= n guarantees the scan ends
-
+    holdout = sorted((row.timestamp for row in data.rows), reverse=True)[target - 1]
     train_rows = [row for row in data.rows if row.timestamp < holdout]
     test_rows = [row for row in data.rows if row.timestamp >= holdout]
     iso = holdout.isoformat()

@@ -23,7 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, _cell, csv_text, feature_matrix, read_csv, read_json, write_json
+from .dataset import Dataset, Sample, csv_text, feature_matrix, read_csv, read_json, write_json
 from .errors import KernelError, MatcherError
 from .kernel import RangeTable, similarity_block
 
@@ -372,8 +372,8 @@ def matches_to_csv_text(results: Sequence[MatchResult], estimation_features: Seq
 
     def cells(result: MatchResult) -> list:
         imputed = result.imputed_features or {}
-        return [result.unlabeled_id, _cell(result.vote), result.estimated_label, result.matched_count,
-                *(_cell(imputed.get(feature)) for feature in estimation_features)]
+        return [result.unlabeled_id, result.vote, result.estimated_label, result.matched_count,
+                *map(imputed.get, estimation_features)]
 
     return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], map(cells, results))
 
@@ -418,10 +418,7 @@ def load_matches(path: str | Path, estimation_features: Sequence[str]) -> list[M
 
 def contributors_to_json_dict(results: Sequence[MatchResult]) -> dict:
     """Sidecar payload: unlabeled id -> [[labeled id, similarity], ...]."""
-    return {
-        result.unlabeled_id: [[cid, sim] for cid, sim in result.top_contributors]
-        for result in results
-    }
+    return {result.unlabeled_id: result.top_contributors for result in results}
 
 
 def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, _cell, atomic_write_text, csv_text, feature_matrix, read_csv
+from .dataset import Dataset, Sample, atomic_write_text, csv_text, feature_matrix, read_csv
 from .dataset import read_json, write_json
 from .errors import ModelError
 
@@ -301,7 +301,7 @@ class ScoreFile:
         return dict(self.rows)
 
     def to_csv_text(self) -> str:
-        return csv_text(["id", "score"], ((sample_id, _cell(score)) for sample_id, score in self.rows))
+        return csv_text(["id", "score"], self.rows)
 
 
 def predict_scores(model: LinearModel, data: Dataset, model_name: str = "logistic regression") -> ScoreFile:

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import Sample, _cell, csv_text, feature_matrix, write_json
+from .dataset import Sample, csv_text, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, similarity_block
@@ -59,11 +59,12 @@ class ProbeGrid:
     probabilities: np.ndarray  # shape (len(x_values), len(y_values))
 
     def to_csv_text(self) -> str:
-        # each axis value is formatted once; the scores come out x-major, as the rows do
-        xs, ys = [_cell(x) for x in self.x_values], [_cell(y) for y in self.y_values]
+        # each axis value is formatted once, with the str() that csv.writer applies;
+        # the scores come out x-major, as the rows do
+        xs, ys = [str(x) for x in self.x_values], [str(y) for y in self.y_values]
         scores = iter(self.probabilities.ravel().tolist())
         return csv_text([self.feature_x, self.feature_y, "score"], (
-            (x, y, _cell(next(scores))) for x in xs for y in ys
+            (x, y, next(scores)) for x in xs for y in ys
         ))
 
 
@@ -282,11 +283,11 @@ def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> str:
     the score and the flag of an unscored shell.
     """
     at = {name: j for j, name in enumerate(shell.vary)}
-    fixed = [_cell(shell.base.features.get(name)) for name in feature_names]
+    fixed = [shell.base.features.get(name) for name in feature_names]
 
     def cells(i: int, row: list[float], similarity: float, score: float | None, crossed: int | None) -> list:
-        features = (_cell(row[at[name]]) if name in at else cell for name, cell in zip(feature_names, fixed))
-        return [_SHELL_ID.format(shell.base.id, i), *features, _cell(similarity), _cell(score), crossed]
+        features = (row[at[name]] if name in at else cell for name, cell in zip(feature_names, fixed))
+        return [_SHELL_ID.format(shell.base.id, i), *features, similarity, score, crossed]
 
     n, scored = len(shell), shell.scores is not None
     rows = map(cells, range(n), (row.tolist() for row in shell.values), shell.similarity.tolist(),

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import simlabel.matcher
+import simlabel.probe
 from conftest import make_schema, write_pipeline_fixture
 from oracles import gower_oracle
 from simlabel.cli import OPTIONS, build_parser, load_config, main
@@ -312,6 +313,22 @@ class TestCliRobustness:
         monkeypatch.setattr(simlabel.matcher, "similarity_block", counted)
         assert main(["calibrate", "--config", str(fx["config"])]) == 0
         assert sum(pairs) == n_train * (n_train - 1) // 2 + n_train * n_pool
+
+    def test_out_of_memory_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        # raised, not provoked: under memory overcommit a huge allocation can succeed
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for command in ("split", "ranges", "calibrate"):
+            assert main([command, "--config", str(fx["config"])]) == 0
+
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array")
+
+        monkeypatch.setattr(simlabel.probe, "similarity_shell", refuse)
+        capsys.readouterr()
+        assert main(["probe-shell", "--config", str(fx["config"]), "--count", "1000000000000"]) == 1
+        error = one_error_line(capsys)
+        assert error["command"] == "probe-shell"
+        assert error["message"] == "Unable to allocate 72.8 TiB for an array"
 
     def test_calibrate_with_one_train_row_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)

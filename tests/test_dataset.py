@@ -5,7 +5,7 @@ import math
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import T0, make_sample, make_schema
@@ -13,6 +13,7 @@ from simlabel.dataset import (
     Dataset,
     FeatureSchema,
     Role,
+    csv_text,
     load_dataset,
     load_schema,
     time_holdout_split,
@@ -70,6 +71,20 @@ class TestSchema:
         path.write_text("not json", encoding="utf-8")
         with pytest.raises(SchemaError, match="JSON"):
             load_schema(path)
+
+
+class TestCsvText:
+    @given(st.floats())
+    @example(math.nan)
+    @example(math.inf)
+    @example(-math.inf)
+    @example(-0.0)
+    @example(5e-324)
+    @example(1e16)
+    @example(1e-05)
+    def test_float_is_its_repr_and_none_is_empty(self, value):
+        # two columns: a row of one empty field is written as ""
+        assert csv_text(["a", "v"], [["x", value], ["y", None]]) == f"a,v\nx,{value!r}\ny,\n"
 
 
 class TestLoadDataset:
@@ -161,6 +176,15 @@ class TestLoadDataset:
         )
         data = load_dataset(path, SCHEMA)
         assert data.rows[0].features == {"f0": 0.0, "f1": 0.0}
+
+    def test_schema_column_named_twice_in_header(self, tmp_path):
+        # the second f0 used to be dropped without a word
+        path = write(tmp_path, "uid,ts,y,f0,f1,g0,f0,y\na,2024-01-01T00:00:00,1,0,0,,5,1\n")
+        with pytest.raises(DataError, match="header names schema column[(]s[)] more than once: y, f0$"):
+            load_dataset(path, SCHEMA)
+        # a repeated column outside the schema is ignored like any extra column
+        path = write(tmp_path, "uid,ts,y,f0,f1,g0,x,x\na,2024-01-01T00:00:00,1,0,0,,5,6\n")
+        assert load_dataset(path, SCHEMA).rows[0].features == {"f0": 0.0, "f1": 0.0}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):

@@ -1,5 +1,6 @@
-"""The package surface: lazy public names and submodules, and which runs load numpy."""
+"""The package surface: lazy public names and submodules, private names, and which runs load numpy."""
 
+import ast
 import os
 import pkgutil
 import subprocess
@@ -81,6 +82,17 @@ class TestExports:
         assert not hasattr(simlabel, "__main__")
         with pytest.raises(ImportError, match="cannot import name 'nope'"):
             exec("from simlabel import nope", {})
+
+
+class TestPrivateNames:
+    def test_no_module_imports_a_private_name_from_another(self):
+        borrowed = []
+        for path in sorted(Path(simlabel.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ImportFrom) and node.level:
+                    borrowed += [f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                                 for alias in node.names if alias.name.startswith("_")]
+        assert not borrowed
 
 
 class TestNumpyLoadsOnlyWhereItComputes:

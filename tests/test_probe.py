@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import make_sample, make_schema
 import simlabel.probe
 from oracles import exact_linear_recourse, gower_oracle
-from simlabel.dataset import Dataset, _cell, csv_text
+from simlabel.dataset import Dataset, csv_text
 from simlabel.errors import ProbeError
 from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
@@ -140,7 +140,7 @@ class TestProbabilityGrid:
             probabilities = np.asfortranarray(probabilities)
         grid = ProbeGrid("b", "f0", "f1", x_values, y_values, probabilities)
         assert grid.to_csv_text() == csv_text(["f0", "f1", "score"], [
-            (_cell(x), _cell(y), _cell(probabilities[i, j]))
+            (x, y, float(probabilities[i, j]))
             for i, x in enumerate(x_values)
             for j, y in enumerate(y_values)
         ])
