@@ -30,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .dataset import Dataset, Sample, load_dataset, load_schema, read_json, write_dataset, write_json
+from .dataset import Dataset, Sample, load_dataset, load_schema, read_json, write_dataset
 from .dataset import atomic_write_text, time_holdout_split
 from .errors import ConfigError, MissingArtifactError, SimlabelError
 
@@ -298,7 +298,8 @@ def cmd_match(run: Run) -> str:
             run.out / f"match_{side}.csv",
             matcher.matches_to_csv_text(results, run.schema.estimation_features),
         )
-        write_json(run.out / f"match_{side}_contributors.json", matcher.contributors_to_json_dict(results))
+        atomic_write_text(run.out / f"match_{side}_contributors.json",
+                          matcher.contributors_to_json_text(matcher.contributors_to_json_dict(results)))
         confident = sum(1 for r in results if r.estimated_label != 0)
         parts.append(f"{side}: {confident}/{len(results)} confident")
     return (

@@ -6,7 +6,9 @@ cells are empty strings (the schema is numeric-only, so this is unambiguous),
 labels are strictly -1 or +1 integers, and timestamps are ISO-8601.
 
 Every CSV file is read through `read_csv` and written through `csv_text`, and
-every JSON artifact is written through `write_json`.
+every JSON artifact is written through `write_json`, except the `match`
+contributor sidecars: `matcher.contributors_to_json_text` writes those in the
+same format, without the pure-Python encoder that `indent` selects.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import DataError, SchemaError, SimlabelError
 
@@ -119,15 +121,24 @@ class FeatureSchema:
         return {name: role.value for name, role in self.columns}
 
 
-def read_json(path: str | Path, error: type[SimlabelError], what: str):
-    """Parse a JSON file; a missing or unparseable file raises `error` naming it."""
+def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Callable | None = None):
+    """Parse a JSON file, then `build` an object from it if given.
+
+    A missing or unparseable file, or an `error` from `build`, raises `error` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
         raise error(f"{what} {path} is not valid JSON: {err}") from err
+    if build is None:
+        return payload
+    try:
+        return build(payload)
+    except error as err:
+        raise error(f"{what} {path}: {err}") from err
 
 
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:

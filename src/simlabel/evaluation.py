@@ -201,6 +201,8 @@ class EvalReport:
             metadata = dict(payload.get("metadata", {}))
         except (KeyError, TypeError, ValueError) as err:
             raise EvalError(f"malformed evaluation report payload: {err}") from err
+        if not models or not testsets:
+            raise EvalError("evaluation report payload names no models or no test sets")
         return cls(models, testsets, auc, comparisons, metadata)
 
     def render_text(self) -> str:
@@ -323,4 +325,4 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def load_report(path: str | Path) -> EvalReport:
-    return EvalReport.from_json_dict(read_json(path, EvalError, "evaluation report"))
+    return read_json(path, EvalError, "evaluation report", EvalReport.from_json_dict)

@@ -37,13 +37,13 @@ class RangeTable:
 
     def __post_init__(self):
         for name, value in self.ranges.items():
-            if value < 0:
-                raise KernelError(f"range for {name!r} is negative: {value}")
+            if not value >= 0:
+                raise KernelError(f"range for {name!r} is negative or NaN: {value}")
             if name not in self.bounds:
                 raise KernelError(f"no observed bounds for feature {name!r}")
         for name, (lo, hi) in self.bounds.items():
-            if lo > hi:
-                raise KernelError(f"bounds for {name!r} are inverted: ({lo}, {hi})")
+            if not lo <= hi:
+                raise KernelError(f"bounds for {name!r} are inverted or NaN: ({lo}, {hi})")
 
     def features(self) -> tuple[str, ...]:
         return tuple(self.ranges)
@@ -60,7 +60,7 @@ class RangeTable:
         try:
             ranges = {str(k): float(v) for k, v in payload["ranges"].items()}
             bounds = {str(k): (float(v[0]), float(v[1])) for k, v in payload["bounds"].items()}
-        except (KeyError, TypeError, ValueError, IndexError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as err:
             raise KernelError(f"malformed range table payload: {err}") from err
         return cls(ranges=ranges, bounds=bounds, source=str(payload.get("source", "")))
 
@@ -70,7 +70,7 @@ def save_range_table(table: RangeTable, path: str | Path) -> None:
 
 
 def load_range_table(path: str | Path) -> RangeTable:
-    return RangeTable.from_json_dict(read_json(path, KernelError, "range table file"))
+    return read_json(path, KernelError, "range table file", RangeTable.from_json_dict)
 
 
 def compute_ranges(

@@ -16,8 +16,10 @@ that of a per-pair loop bit for bit, whatever the block size.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -421,9 +423,25 @@ def contributors_to_json_dict(results: Sequence[MatchResult]) -> dict:
     return {result.unlabeled_id: result.top_contributors for result in results}
 
 
+def contributors_to_json_text(payload: dict) -> str:
+    """`json.dumps(payload, indent=2) + "\\n"` without the pure-Python encoder that `indent` selects.
+
+    Ids go through json's C escaper, and all similarities through one C `dumps`, which spells NaN
+    and the infinities as `indent=2` does.
+    """
+    sims = iter(json.dumps([sim for contributors in payload.values() for _, sim in contributors])[1:-1].split(", "))
+    entries = []
+    for uid, contributors in payload.items():
+        # zip draws from `contributors` first, so it takes no similarity past the entry's last row
+        rows = ",\n".join([f"    [\n      {json_str(lid)},\n      {sim}\n    ]"
+                           for (lid, _), sim in zip(contributors, sims)])
+        entries.append(f"  {json_str(uid)}: [\n{rows}\n  ]" if contributors else f"  {json_str(uid)}: []")
+    return "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
+
+
 def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:
     write_json(path, {**params.to_json_dict(), **(extra or {})})
 
 
 def load_params(path: str | Path) -> SimilarityParams:
-    return SimilarityParams.from_json_dict(read_json(path, MatcherError, "similarity params file"))
+    return read_json(path, MatcherError, "similarity params file", SimilarityParams.from_json_dict)

@@ -119,7 +119,7 @@ class LinearModel:
                 stop_reason=str(payload.get("stop_reason", "")),
                 n_iter=int(payload.get("n_iter", 0)),
             )
-        except (KeyError, TypeError, ValueError) as err:
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ModelError(f"malformed model payload: {err}") from err
 
 
@@ -128,7 +128,7 @@ def save_model(model: LinearModel, path: str | Path, extra: dict | None = None) 
 
 
 def load_model(path: str | Path) -> LinearModel:
-    return LinearModel.from_json_dict(read_json(path, ModelError, "model file"))
+    return read_json(path, ModelError, "model file", LinearModel.from_json_dict)
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:

@@ -72,6 +72,14 @@ class TestPipelineArtifacts:
         assert params["matched_fraction_at_c"] < 0.05
         assert "labeled_similarity_distribution" in params
 
+    def test_every_json_artifact_is_the_indent_2_format(self, pipeline):
+        artifacts = sorted(pipeline["out"].glob("*.json"))
+        assert {"match_train_contributors.json", "match_test_contributors.json", "recourse_l0000.json"} <= {
+            path.name for path in artifacts}
+        for path in artifacts:
+            text = path.read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+
     def test_match_output_shape(self, pipeline):
         lines = (pipeline["out"] / "match_train.csv").read_text().splitlines()
         assert lines[0] == "id,t,y_hat,matched_count,g0,g1"
@@ -352,6 +360,26 @@ class TestCliRobustness:
         capsys.readouterr()
         assert main([command, "--config", str(fx["config"])]) == 1
         assert artifact in one_error_line(capsys)["message"]
+
+    @pytest.mark.parametrize("artifact, command, edit, named", [
+        ("ranges.json", "calibrate", lambda p: p.update(ranges=[]), "ranges.json"),
+        ("ranges.json", "calibrate", lambda p: p.update(bounds=[]), "ranges.json"),
+        ("ranges.json", "calibrate", lambda p: p["ranges"].update(f1=math.nan), "'f1'"),
+        ("ranges.json", "calibrate", lambda p: p["bounds"].update(f1=[math.nan, 1.0]), "'f1'"),
+        ("model_plain.json", "score", lambda p: p.update(weights=[]), "model_plain.json"),
+        ("eval_report.json", "report", lambda p: p.update(models=[], testsets=[]), "eval_report.json"),
+    ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models"])
+    def test_misshapen_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command, edit, named):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
+        for step in PIPELINE[:-1]:
+            assert main([step, "--config", str(fx["config"])]) == 0
+        payload = json.loads((fx["out"] / artifact).read_text(encoding="utf-8"))
+        edit(payload)
+        (fx["out"] / artifact).write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"])]) == 1
+        message = one_error_line(capsys)["message"]
+        assert artifact in message and named in message
 
     def test_unwritable_out_dir_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)

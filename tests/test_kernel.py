@@ -139,6 +139,17 @@ class TestRangeTable:
         with pytest.raises(KernelError, match="negative"):
             RangeTable(ranges={"f0": -1.0}, bounds={"f0": (0.0, 1.0)})
 
+    @pytest.mark.parametrize("value, bounds", [
+        (math.nan, (0.0, 1.0)), (1.0, (math.nan, 1.0)), (1.0, (0.0, math.nan)),
+    ])
+    def test_nan_range_or_bound_rejected(self, value, bounds):
+        with pytest.raises(KernelError, match="'f0' .* NaN"):
+            RangeTable(ranges={"f0": value}, bounds={"f0": bounds})
+
+    def test_infinite_range_accepted(self):
+        # compute_ranges makes one from two finite extremes such as -1.7e308 and 1.7e308
+        assert RangeTable(ranges={"f0": math.inf}, bounds={"f0": (-1.7e308, 1.7e308)}).ranges["f0"] == math.inf
+
     def test_missing_bounds_rejected(self):
         with pytest.raises(KernelError, match="bounds"):
             RangeTable(ranges={"f0": 1.0}, bounds={})

@@ -1,11 +1,14 @@
 """Matcher tests: calibration fixtures, hand-worked votes, and oracle equality."""
 
+import json
 import math
 from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import simlabel.matcher
 from conftest import T0, make_sample, make_schema, random_instance
@@ -18,6 +21,7 @@ from simlabel.matcher import (
     SimilarityParams,
     calibrate_confidence_threshold,
     calibrate_similarity_threshold,
+    contributors_to_json_text,
     estimate_label,
     labeled_similarity_distribution,
     load_matches,
@@ -471,6 +475,13 @@ class TestMatcherProperties:
         assert ties_at_c >= 10
 
 
+IDS = st.text(max_size=4) | st.text(
+    alphabet=st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "a", "é", "\u2028", "𝄞", ",", " "]), max_size=4)
+SIMILARITIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+CONTRIBUTOR = st.tuples(IDS, SIMILARITIES)
+
+
 class TestMatchSerialization:
     def test_csv_roundtrip(self):
         rng = np.random.default_rng(15)
@@ -492,3 +503,12 @@ class TestMatchSerialization:
             assert parsed.estimated_label == original.estimated_label
             assert parsed.imputed_features == original.imputed_features
             assert parsed.matched_count == original.matched_count
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(IDS, st.lists(CONTRIBUTOR | CONTRIBUTOR.map(list), max_size=4)
+                           | st.lists(CONTRIBUTOR, max_size=4).map(tuple), max_size=5))
+    @example({})
+    @example({"": []})
+    @example({"u": (("l", math.nan), ("", -math.inf)), "v": [], "w": [["𝄞\x00", -0.0]]})
+    def test_contributors_json_text_is_the_indent_2_dump(self, payload):
+        assert contributors_to_json_text(payload) == json.dumps(payload, indent=2) + "\n"
