@@ -8,54 +8,50 @@ its provenance and prefixes similar ids so the combined id space stays unique.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
-from typing import Sequence
+
+import numpy as np
 
 from .dataset import SOURCE_SIMILAR, Dataset, Sample
 from .errors import AugmentError
-from .matcher import MatchResult
+from .matcher import Matches
 
 SIMILAR_ID_PREFIX = "similar:"
 
 
-def build_similar_dataset(matches: Sequence[MatchResult], unlabeled: Dataset) -> Dataset:
+def build_similar_dataset(matches: Matches, unlabeled: Dataset) -> Dataset:
     """One row per confident match (estimate != 0), in match order.
 
     Ids stay the unlabeled source ids so each row traces back to exactly one
     source row; prefixes are applied later, at merge time.
     """
     index = unlabeled.by_id()
-    rows: list[Sample] = []
     seen: set[str] = set()
-    for match in matches:
-        base = index.get(match.unlabeled_id)
-        if base is None:
-            raise AugmentError(
-                f"match id {match.unlabeled_id!r} not found in the unlabeled dataset"
-            )
-        if match.unlabeled_id in seen:
-            raise AugmentError(f"duplicate match id {match.unlabeled_id!r}")
-        seen.add(match.unlabeled_id)
-        if match.estimated_label == 0:
-            continue
-        features: dict[str, float] = {}
-        for name in unlabeled.schema.similarity_features:
-            value = base.features.get(name)
-            if value is not None:
+    for uid in matches.ids:
+        if uid not in index:
+            raise AugmentError(f"match id {uid!r} not found in the unlabeled dataset")
+        if uid in seen:
+            raise AugmentError(f"duplicate match id {uid!r}")
+        seen.add(uid)
+    similarity, estimation = unlabeled.schema.similarity_features, unlabeled.schema.estimation_features
+    votes, estimates, counts = matches.votes.tolist(), matches.estimates.tolist(), matches.matched.tolist()
+    rows: list[Sample] = []
+    for j in np.flatnonzero(matches.estimates).tolist():
+        base = index[matches.ids[j]]
+        features = {name: base.features[name] for name in similarity if name in base.features}
+        for name, value in zip(estimation, matches.imputed[j].tolist()):
+            if not math.isnan(value):
                 features[name] = value
-        if match.imputed_features:
-            for name, value in match.imputed_features.items():
-                if value is not None:
-                    features[name] = value
         rows.append(
             Sample(
                 id=base.id,
                 timestamp=base.timestamp,
                 features=features,
-                label=match.estimated_label,
+                label=estimates[j],
                 source=SOURCE_SIMILAR,
-                vote=match.vote,
-                matched_count=match.matched_count,
+                vote=votes[j],
+                matched_count=counts[j],
             )
         )
     provenance = f"similar samples ({len(rows)} confident of {len(matches)} matches) from {unlabeled.provenance or '<unnamed>'}"

@@ -266,7 +266,7 @@ def cmd_ranges(run: Run) -> str:
 
 def cmd_calibrate(run: Run) -> str:
     from . import kernel, matcher
-    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    ranges = kernel.load_range_table(run.artifact("ranges.json"), run.schema)
     train, unlabeled = run.dataset("train.csv"), run.dataset("unlabeled")
     result = matcher.calibrate(
         train, unlabeled, ranges, run["percentile"], run["confidence_budget"], run["d"], run["c"]
@@ -287,21 +287,20 @@ def cmd_calibrate(run: Run) -> str:
 
 def cmd_match(run: Run) -> str:
     from . import kernel, matcher
-    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    ranges = kernel.load_range_table(run.artifact("ranges.json"), run.schema)
     params = matcher.load_params(run.artifact("params.json"))
     sides = {"train": run.dataset("train.csv"), "test": run.dataset("test.csv")}
     unlabeled = run.dataset("unlabeled")
     parts = []
     for side, labeled in sides.items():
-        results = matcher.match_batch(unlabeled, labeled, ranges, params, workers=run["workers"])
+        matches = matcher.match_batch(unlabeled, labeled, ranges, params)
         atomic_write_text(
             run.out / f"match_{side}.csv",
-            matcher.matches_to_csv_text(results, run.schema.estimation_features),
+            matcher.matches_to_csv_text(matches, run.schema.estimation_features),
         )
         atomic_write_text(run.out / f"match_{side}_contributors.json",
-                          matcher.contributors_to_json_text(matcher.contributors_to_json_dict(results)))
-        confident = sum(1 for r in results if r.estimated_label != 0)
-        parts.append(f"{side}: {confident}/{len(results)} confident")
+                          matcher.contributors_to_json_text(matcher.contributors_to_json_dict(matches)))
+        parts.append(f"{side}: {(matches.estimates != 0).sum()}/{len(matches)} confident")
     return (
         f"match: d={params.d!r} c={params.c!r}; {'; '.join(parts)} "
         f"-> {run.out / 'match_train.csv'}, {run.out / 'match_test.csv'}"
@@ -428,7 +427,7 @@ def cmd_probe_grid(run: Run) -> str:
         raise ConfigError("probe-grid needs two similarity features (probe.fx / probe.fy)")
     x_axis, y_axis = run["x"], run["y"]
     if x_axis is None or y_axis is None:
-        ranges = kernel.load_range_table(run.artifact("ranges.json"))
+        ranges = kernel.load_range_table(run.artifact("ranges.json"), run.schema)
         for feature in (fx, fy):
             if feature not in ranges.bounds:
                 raise ConfigError(f"feature {feature!r} has no observed bounds in ranges.json")
@@ -445,11 +444,11 @@ def cmd_probe_grid(run: Run) -> str:
 
 def cmd_probe_shell(run: Run) -> str:
     from . import kernel, matcher, model as model_mod, probe as probe_mod
-    ranges = kernel.load_range_table(run.artifact("ranges.json"))
+    ranges = kernel.load_range_table(run.artifact("ranges.json"), run.schema)
     base = _probe_base(run)
     d = run["d"] if run["d"] is not None else matcher.load_params(run.artifact("params.json")).d
     vary = run["vary"] or list(run.schema.similarity_features)
-    shell = probe_mod.similarity_shell(base, vary, ranges, d, run["count"], run["seed"], workers=run["workers"])
+    shell = probe_mod.similarity_shell(base, vary, ranges, d, run["count"], run["seed"])
 
     model_path = run["model"] or run.out / "model_plain.json"
     if run["model"] or model_path.exists():  # a --model that is given must exist

@@ -147,12 +147,17 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     Cells are strings, ints, builtin floats or None. csv.writer writes a float
     as its shortest repr, which reloads to the same float, and None as an
     empty cell; a numpy scalar must be converted with float() or .tolist().
+    A carriage return in a cell raises DataError: csv.writer does not quote it
+    under a "\n" line terminator, and the file would read back split there.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    text = buf.getvalue()
+    if "\r" in text:
+        raise DataError("a CSV cell holds a carriage return, which the artifact format cannot write")
+    return text
 
 
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:

@@ -69,8 +69,15 @@ def save_range_table(table: RangeTable, path: str | Path) -> None:
     write_json(path, table.to_json_dict())
 
 
-def load_range_table(path: str | Path) -> RangeTable:
-    return read_json(path, KernelError, "range table file", RangeTable.from_json_dict)
+def load_range_table(path: str | Path, schema: FeatureSchema | None = None) -> RangeTable:
+    """Read a range table; given a schema, its features must be the similarity features, in order."""
+    table = read_json(path, KernelError, "range table file", RangeTable.from_json_dict)
+    if schema and table.features() != schema.similarity_features:
+        missing = [name for name in schema.similarity_features if name not in table.ranges]
+        extra = [name for name in table.ranges if name not in schema.similarity_features]
+        raise KernelError(f"range table file {path} does not hold the schema's similarity features "
+                          f"{list(schema.similarity_features)} in order: missing {missing}, extra {extra}")
+    return table
 
 
 def compute_ranges(

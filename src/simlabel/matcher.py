@@ -63,23 +63,28 @@ class SimilarityParams:
             raise MatcherError(f"malformed similarity params payload: {err}") from err
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome for one unlabeled sample.
+@dataclass(frozen=True, eq=False)
+class Matches:
+    """Outcome of match_batch for every unlabeled row, as arrays in input order.
 
-    `vote` is None when no labeled sample cleared the similarity threshold
-    (the vote is 0/0 there, and the estimate is the explicit abstain code 0).
-    `imputed_features` maps every estimation-only feature to its weighted
-    mean, or None for features no contributor carries; the whole map is None
-    when the estimate is 0.
+    NaN marks an empty cell: a vote where no labeled row cleared d (0/0; the
+    estimate is the abstain code 0 there), an imputed estimation-only feature
+    where the estimate is 0 or no contributor carries it. Row j's top
+    contributors, labeled ids and similarities, are the first matched[j] (at
+    most width) entries of `top_ids` and `top_sims`, padded with None and NaN;
+    load_matches gives them zero width.
     """
 
-    unlabeled_id: str
-    vote: float | None
-    estimated_label: int
-    imputed_features: dict[str, float | None] | None
-    matched_count: int
-    top_contributors: tuple[tuple[str, float], ...]
+    ids: list[str]
+    votes: np.ndarray
+    estimates: np.ndarray
+    matched: np.ndarray
+    imputed: np.ndarray
+    top_ids: np.ndarray
+    top_sims: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
 def _labels(labeled: Dataset) -> np.ndarray:
@@ -95,8 +100,8 @@ def _labels(labeled: Dataset) -> np.ndarray:
 def _blocks(
     left_rows: Sequence[Sample], left: np.ndarray, right_rows: Sequence[Sample], right: np.ndarray,
     ranges: RangeTable,
-) -> Iterator[tuple[Sequence[Sample], np.ndarray]]:
-    """Runs of right rows, in order, with their similarity to every left row.
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of right rows, in order, as slices with their similarity to every left row.
 
     `left` and `right` are the rows' feature matrices in range-table order.
     The similarities have left rows on axis 0; a block holds at most
@@ -105,15 +110,14 @@ def _blocks(
     """
     step = max(1, BLOCK_PAIRS // max(1, len(left)))
     for start in range(0, len(right), step):
-        rows = right_rows[start:start + step]
-        sims = similarity_block(left, right[start:start + step], ranges)
+        block = slice(start, start + step)
+        sims = similarity_block(left, right[block], ranges)
         missing = np.argwhere(np.isnan(sims.T))
         if len(missing):
             j, i = missing[0]
-            raise KernelError(
-                f"samples {left_rows[i].id!r} and {rows[j].id!r} share no similarity feature values"
-            )
-        yield rows, sims
+            raise KernelError(f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r} "
+                              "share no similarity feature values")
+        yield block, sims
 
 
 def _labeled_blocks(unlabeled: Dataset, labeled: Dataset, ranges: RangeTable):
@@ -197,18 +201,19 @@ def labeled_similarity_distribution(
     }
 
 
-def _weighted_means(weights: np.ndarray, values: np.ndarray) -> list[float | None]:
-    """sum(w * v) / sum(w) down each column, or None where sum(w) is 0.
+def _weighted_means(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum(w * v) / sum(w) down each column, NaN where sum(w) is 0.
 
     The terms are added top to bottom starting from 0.0, the order and rounding
     of a Python loop over the rows (np.sum would pair them).
     """
     zero = np.zeros((1, weights.shape[1]))
     num, den = (
-        np.add.accumulate(np.vstack([zero, terms]), axis=0)[-1].tolist()
+        np.add.accumulate(np.vstack([zero, terms]), axis=0)[-1]
         for terms in (weights * values, weights)
     )
-    return [n / w if w > 0.0 else None for n, w in zip(num, den)]
+    with np.errstate(invalid="ignore"):  # 0 / 0
+        return num / den
 
 
 def unlabeled_votes(
@@ -216,12 +221,12 @@ def unlabeled_votes(
     labeled: Dataset,
     ranges: RangeTable,
     d: float,
-) -> list[float | None]:
-    """The vote t for every unlabeled row at threshold d (None where undefined)."""
+) -> np.ndarray:
+    """The vote t for every unlabeled row at threshold d (NaN where undefined)."""
     labels = _labels(labeled)
-    votes: list[float | None] = []
-    for _, sims in _labeled_blocks(unlabeled, labeled, ranges):
-        votes.extend(_weighted_means(np.where(sims > d, sims, 0.0), labels))
+    votes = np.empty(len(unlabeled))
+    for block, sims in _labeled_blocks(unlabeled, labeled, ranges):
+        votes[block] = _weighted_means(np.where(sims > d, sims, 0.0), labels)
     return votes
 
 
@@ -232,7 +237,7 @@ def calibrate_confidence_threshold(
     d: float,
     target_fraction: float = 0.05,
     *,
-    votes: Sequence[float | None] | None = None,
+    votes: np.ndarray | None = None,
 ) -> float:
     """Pick c so that strictly less than target_fraction of unlabeled rows get labels.
 
@@ -247,16 +252,10 @@ def calibrate_confidence_threshold(
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
     if votes is None:
         votes = unlabeled_votes(unlabeled, labeled, ranges, d)
-    magnitudes = sorted((abs(t) for t in votes if t is not None), reverse=True)
-    best = 1.0
-    for assigned, candidate in enumerate(magnitudes):
-        # the rows before a candidate's first copy are the ones with |t| above it
-        if assigned and candidate == magnitudes[assigned - 1]:
-            continue
-        if assigned / len(unlabeled.rows) >= target_fraction:
-            break
-        best = candidate
-    return best
+    magnitudes = np.sort(np.abs(votes[~np.isnan(votes)]))
+    assigned = len(magnitudes) - np.searchsorted(magnitudes, magnitudes, side="right")  # rows with |t| above each
+    under = magnitudes[assigned / len(unlabeled.rows) < target_fraction]  # a suffix: assigned only falls
+    return under[0].item() if len(under) else 1.0
 
 
 @dataclass(frozen=True)
@@ -299,7 +298,7 @@ def calibrate(
         c_note = f"c: descending sweep under budget {target_fraction} of {len(unlabeled)} unlabeled"
     else:
         c_note = f"c: manual override {c!r}"
-    assigned = sum(1 for t in votes if t is not None and abs(t) > c)
+    assigned = int(np.count_nonzero(np.abs(votes) > c))
     return Calibration(
         params=SimilarityParams(d=d, c=c, provenance=f"{d_note}; {c_note}"),
         distribution=distribution,
@@ -308,119 +307,119 @@ def calibrate(
     )
 
 
-def estimate_label(
-    u: Sample,
-    labeled: Dataset,
-    ranges: RangeTable,
-    params: SimilarityParams,
-) -> MatchResult:
-    """Estimate the label of one unlabeled sample: match_batch on that one row."""
-    return match_batch(Dataset(labeled.schema, [u]), labeled, ranges, params)[0]
-
-
 def match_batch(
     unlabeled: Dataset,
     labeled: Dataset,
     ranges: RangeTable,
     params: SimilarityParams,
-    workers: int = 1,
-) -> list[MatchResult]:
+) -> Matches:
     """Estimate the label of every unlabeled row and impute its missing features, in input order.
 
     An unmatched sample (no labeled row above d) is a valid abstention, not an
     error. Imputation runs only for confident estimates and averages each
     estimation-only feature over the matched contributors that carry it,
     weighted by similarity. Top contributors are the matched rows by
-    descending similarity, ties in labeled order. `workers` is accepted and
-    changes nothing: the blocks are computed one after another.
+    descending similarity, ties in labeled order.
     """
     if unlabeled.schema != labeled.schema:
         raise MatcherError("unlabeled and labeled datasets must share a schema")
     labels = _labels(labeled)
-    ids = labeled.ids()
     estimation = labeled.schema.estimation_features
     values = feature_matrix(labeled.rows, estimation)
     carried = ~np.isnan(values)
     values = np.where(carried, values, 0.0)
-    results = []
-    for rows, sims in _labeled_blocks(unlabeled, labeled, ranges):
-        matched = sims > params.d
-        votes = _weighted_means(np.where(matched, sims, 0.0), labels)
-        estimates = [0 if t is None else 1 if t > params.c else -1 if t < -params.c else 0 for t in votes]
-        confident = [j for j, label in enumerate(estimates) if label != 0]
-        imputed: dict[int, dict[str, float | None]] = {j: {} for j in confident}
-        for g, feature in enumerate(estimation):
-            weights = np.where(matched[:, confident] & carried[:, g, None], sims[:, confident], 0.0)
-            for j, mean in zip(confident, _weighted_means(weights, values[:, g, None])):
-                imputed[j][feature] = mean
-        counts = matched.sum(axis=0).tolist()
-        order = np.argsort(-sims, axis=0, kind="stable")[:TOP_CONTRIBUTORS_CAP]
-        ranked = np.take_along_axis(sims, order, axis=0)
-        for j, row in enumerate(rows):
-            top = min(counts[j], TOP_CONTRIBUTORS_CAP)
-            results.append(MatchResult(
-                unlabeled_id=row.id,
-                vote=votes[j],
-                estimated_label=estimates[j],
-                imputed_features=imputed.get(j),
-                matched_count=counts[j],
-                top_contributors=tuple(zip([ids[i] for i in order[:top, j]], ranked[:top, j].tolist())),
-            ))
-    return results
+    n, width = len(unlabeled), min(TOP_CONTRIBUTORS_CAP, len(labeled))
+    votes, estimates, matched = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    imputed = np.full((n, len(estimation)), np.nan)
+    top, top_sims = np.empty((n, width), dtype=np.intp), np.empty((n, width))
+    for block, sims in _labeled_blocks(unlabeled, labeled, ranges):
+        above = sims > params.d
+        weights = np.where(above, sims, 0.0)
+        votes[block] = _weighted_means(weights, labels)
+        estimates[block] = np.where(votes[block] > params.c, 1, np.where(votes[block] < -params.c, -1, 0))
+        matched[block] = np.count_nonzero(above, axis=0)
+        confident = np.flatnonzero(estimates[block])
+        for g in range(len(estimation)):
+            imputed[block.start + confident, g] = _weighted_means(
+                np.where(carried[:, g, None], weights[:, confident], 0.0), values[:, g, None])
+        order = np.argsort(-sims, axis=0, kind="stable")[:width]
+        top[block] = order.T
+        top_sims[block] = np.take_along_axis(sims, order, axis=0).T
+    contributor = np.arange(width) < matched[:, None]
+    return Matches(
+        ids=unlabeled.ids(),
+        votes=votes,
+        estimates=estimates,
+        matched=matched,
+        imputed=imputed,
+        top_ids=np.where(contributor, np.array(labeled.ids(), dtype=object)[top], None),
+        top_sims=np.where(contributor, top_sims, np.nan),
+    )
 
 
-def matches_to_csv_text(results: Sequence[MatchResult], estimation_features: Sequence[str]) -> str:
+def matches_to_csv_text(matches: Matches, estimation_features: Sequence[str]) -> str:
     """Delimited match output: id, t, y_hat, matched_count, then imputed columns."""
+    table = np.empty((len(matches), 4 + len(estimation_features)), dtype=object)
+    table[:, 0] = matches.ids
+    table[:, 1] = np.where(np.isnan(matches.votes), None, matches.votes)  # builtin floats, None for NaN
+    table[:, 2] = matches.estimates
+    table[:, 3] = matches.matched
+    table[:, 4:] = np.where(np.isnan(matches.imputed), None, matches.imputed)
+    return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], table.tolist())
 
-    def cells(result: MatchResult) -> list:
-        imputed = result.imputed_features or {}
-        return [result.unlabeled_id, result.vote, result.estimated_label, result.matched_count,
-                *map(imputed.get, estimation_features)]
 
-    return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], map(cells, results))
+def load_matches(path: str | Path, estimation_features: Sequence[str]) -> Matches:
+    """Read a match CSV back, empty cells as NaN, without the contributors (they live in the sidecar).
 
-
-def load_matches(path: str | Path, estimation_features: Sequence[str]) -> list[MatchResult]:
-    """Read a match CSV back into results (contributor details live in the sidecar)."""
+    t must lie in [-1, 1], y_hat be -1, 0 or 1 with t's sign, matched_count a whole number >= 0,
+    and a confident row's imputed values finite; an abstaining row's imputed cells are ignored.
+    """
     expected = ["id", "t", "y_hat", "matched_count", *estimation_features]
     lines = read_csv(path, MatcherError, "match file")
     _, header = next(lines)
     if header != expected:
         raise MatcherError(f"{path}: unexpected header {header}, wanted {expected}")
-    results = []
+    ids, table = [], []
     for row_num, cells in lines:
         if len(cells) != len(expected):
             raise MatcherError(f"{path}: row {row_num} has {len(cells)} columns")
         try:
-            vote = float(cells[1]) if cells[1] else None
-            label = int(cells[2])
-            matched_count = int(cells[3])
-            imputed: dict[str, float | None] | None
-            if label == 0:
-                imputed = None
-            else:
-                imputed = {
-                    name: (float(text) if text else None)
-                    for name, text in zip(estimation_features, cells[4:])
-                }
+            vote = float(cells[1]) if cells[1] else math.nan
+            label, count = int(cells[2]), int(cells[3])
+            values = [float(text) if text else math.nan for text in cells[4:]] if label else []
+            if cells[1] and not -1.0 <= vote <= 1.0:
+                raise ValueError(f"t must be a number in [-1, 1], got {cells[1]!r}")
+            if label not in (-1, 0, 1):
+                raise ValueError(f"y_hat must be -1, 0 or 1, got {cells[2]!r}")
+            if label and not label * vote > 0:
+                raise ValueError(f"y_hat {label} needs a vote t of its sign, got {cells[1]!r}")
+            if not 0 <= count <= 1 << 53:
+                raise ValueError(f"matched_count must be a whole number in [0, 2**53], got {cells[3]!r}")
+            bad = [name for name, text, value in zip(estimation_features, cells[4:], values)
+                   if text and not math.isfinite(value)]
+            if bad:
+                raise ValueError(f"imputed {', '.join(bad)} of a confident row must be finite")
         except ValueError as err:
             raise MatcherError(f"{path}: row {row_num}: {err}") from err
-        results.append(
-            MatchResult(
-                unlabeled_id=cells[0],
-                vote=vote,
-                estimated_label=label,
-                imputed_features=imputed,
-                matched_count=matched_count,
-                top_contributors=(),
-            )
-        )
-    return results
+        ids.append(cells[0])
+        table.append([vote, label, count, *(values or [math.nan] * len(estimation_features))])
+    table = np.array(table, dtype=np.float64).reshape(len(ids), len(expected) - 1)  # exact: counts <= 2**53
+    return Matches(
+        ids=ids,
+        votes=table[:, 0],
+        estimates=table[:, 1].astype(np.int64),
+        matched=table[:, 2].astype(np.int64),
+        imputed=table[:, 3:],
+        top_ids=np.empty((len(ids), 0), dtype=object),
+        top_sims=np.empty((len(ids), 0)),
+    )
 
 
-def contributors_to_json_dict(results: Sequence[MatchResult]) -> dict:
+def contributors_to_json_dict(matches: Matches) -> dict:
     """Sidecar payload: unlabeled id -> [[labeled id, similarity], ...]."""
-    return {result.unlabeled_id: result.top_contributors for result in results}
+    counts = np.minimum(matches.matched, matches.top_ids.shape[1]).tolist()
+    rows = zip(matches.ids, matches.top_ids.tolist(), matches.top_sims.tolist(), counts)
+    return {uid: list(zip(lids[:k], sims[:k])) for uid, lids, sims, k in rows}
 
 
 def contributors_to_json_text(payload: dict) -> str:

@@ -107,8 +107,9 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearModel":
+        """The model a payload describes: weights, intercept, means and scales finite, scales > 0."""
         try:
-            return cls(
+            model = cls(
                 weights={str(k): float(v) for k, v in payload["weights"].items()},
                 intercept=float(payload["intercept"]),
                 l1=float(payload["l1"]),
@@ -121,6 +122,14 @@ class LinearModel:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ModelError(f"malformed model payload: {err}") from err
+        bad = [] if math.isfinite(model.intercept) else [f"intercept {model.intercept}"]
+        named = (("weight", model.weights), ("mean", model.feature_means), ("scale", model.feature_scales))
+        for what, values in named:
+            bad += [f"{what} of {k!r} {v}" for k, v in values.items()
+                    if not math.isfinite(v) or what == "scale" and v <= 0]
+        if bad:
+            raise ModelError(f"model values must be finite and scales > 0, got {', '.join(bad)}")
+        return model
 
 
 def save_model(model: LinearModel, path: str | Path, extra: dict | None = None) -> None:

@@ -185,7 +185,6 @@ def similarity_shell(
     d: float,
     n: int,
     seed: int,
-    workers: int = 1,
 ) -> Shell:
     """Draw n perturbations of the vary features with Gower similarity >= d to base.
 
@@ -200,7 +199,7 @@ def similarity_shell(
     attempt a moves by the fraction 1 - 2**(a + 1 - MAX_SHELL_ATTEMPTS) of
     the budget: all of it for the first ten attempts, none at the last. A
     sample the kernel still rejects then raises ProbeError naming the lowest
-    such index. `workers` is accepted and changes nothing.
+    such index.
     """
     if not vary:
         raise ProbeError("similarity_shell needs a non-empty vary set")

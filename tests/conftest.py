@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from datetime import datetime, timedelta
 from pathlib import Path
 
@@ -30,6 +31,22 @@ def make_sample(sid, features, label=None, ts=None) -> Sample:
         features={k: float(v) for k, v in features.items()},
         label=label,
     )
+
+
+def match_dicts(matches, estimation_features) -> list[dict]:
+    """A matcher.Matches as oracles.match_oracle's dicts: NaN becomes None, and a row
+    that abstains has no imputed map."""
+
+    def cell(value):
+        return None if math.isnan(value) else value
+
+    rows = zip(matches.ids, matches.votes.tolist(), matches.estimates.tolist(), matches.matched.tolist(),
+               matches.imputed.tolist())
+    return [
+        {"id": uid, "t": cell(t), "y_hat": y_hat, "matched_count": count,
+         "imputed": {name: cell(value) for name, value in zip(estimation_features, imputed)} if y_hat else None}
+        for uid, t, y_hat, count, imputed in rows
+    ]
 
 
 def random_instance(rng, n_labeled, n_unlabeled, n_sim=4, n_est=2, missing_rate=0.2):

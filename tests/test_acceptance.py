@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_sample, make_schema, random_instance, two_cluster, write_pipeline_fixture
+from conftest import make_sample, make_schema, match_dicts, random_instance, two_cluster, write_pipeline_fixture
 from oracles import (
     auc_pairs_oracle,
     central_difference_gradient,
@@ -125,12 +125,7 @@ def test_matcher_brute_force_oracle():
             d,
             c,
         )
-        for mine, ref in zip(got, expected):
-            assert mine.unlabeled_id == ref["id"]
-            assert mine.vote == ref["t"]
-            assert mine.estimated_label == ref["y_hat"]
-            assert mine.imputed_features == ref["imputed"]
-            assert mine.matched_count == ref["matched_count"]
+        assert match_dicts(got, schema.estimation_features) == expected
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"matcher oracle sweep took {elapsed:.2f}s"
     passed("matcher-oracle")
@@ -172,7 +167,7 @@ def test_threshold_calibration():
     d2 = calibrate_similarity_threshold(labeled2, ranges2, 0.95)
     c2 = calibrate_confidence_threshold(labeled2, unlabeled2, ranges2, d2, 0.05)
     votes = unlabeled_votes(unlabeled2, labeled2, ranges2, d2)
-    assigned = sum(1 for t in votes if t is not None and abs(t) > c2)
+    assigned = sum(1 for t in votes.tolist() if not math.isnan(t) and abs(t) > c2)
     assert assigned / len(unlabeled2.rows) < 0.05
     passed("threshold-calibration")
 
@@ -186,20 +181,20 @@ def test_two_cluster_recovery():
     ranges = compute_ranges([labeled, unlabeled], schema)
     d = calibrate_similarity_threshold(labeled, ranges, 0.95)
     params = SimilarityParams(d=d, c=0.5)
-    results = match_batch(unlabeled, labeled, ranges, params)
+    results = match_dicts(match_batch(unlabeled, labeled, ranges, params), schema.estimation_features)
 
-    confident = [r for r in results if r.estimated_label != 0]
+    confident = [r for r in results if r["y_hat"] != 0]
     assert len(confident) >= 100, "expected a meaningful number of confident assignments"
-    agree = sum(1 for r in confident if r.estimated_label == truth[r.unlabeled_id])
+    agree = sum(1 for r in confident if r["y_hat"] == truth[r["id"]])
     assert agree / len(confident) >= 0.95
 
-    undecided = [r for r in results if r.vote is not None and r.estimated_label == 0]
+    undecided = [r for r in results if r["t"] is not None and r["y_hat"] == 0]
     assert undecided, "expected some matched-but-unconfident samples"
     confident_distance = float(
-        np.mean([abs(projection[r.unlabeled_id]) for r in confident])
+        np.mean([abs(projection[r["id"]]) for r in confident])
     )
     undecided_distance = float(
-        np.mean([abs(projection[r.unlabeled_id]) for r in undecided])
+        np.mean([abs(projection[r["id"]]) for r in undecided])
     )
     assert undecided_distance < 0.7 * confident_distance, (
         f"abstentions should sit nearer the overlap midplane "

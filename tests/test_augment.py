@@ -1,5 +1,6 @@
 """Similar-dataset construction and merging tests."""
 
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -9,20 +10,25 @@ from conftest import T0, make_sample, make_schema, random_instance
 from simlabel.augment import SIMILAR_ID_PREFIX, build_similar_dataset, merge_datasets
 from simlabel.dataset import SOURCE_REAL, SOURCE_SIMILAR, Dataset
 from simlabel.errors import AugmentError
-from simlabel.matcher import MatchResult, SimilarityParams, match_batch
+from simlabel.matcher import Matches, SimilarityParams, match_batch
 
 SCHEMA = make_schema(2, 2)
 
 
 def match(uid, label, vote=0.8, imputed=None, matched=3):
-    return MatchResult(
-        unlabeled_id=uid,
-        vote=vote if label != 0 else None,
-        estimated_label=label,
-        imputed_features=imputed if label != 0 else None,
-        matched_count=matched if label != 0 else 0,
-        top_contributors=(),
-    )
+    """One match row: id, vote, label, matched count and the imputed values, NaN where empty."""
+    values = [(imputed or {}).get(name) for name in SCHEMA.estimation_features]
+    return (uid, vote if label else math.nan, label, matched if label else 0,
+            [math.nan if value is None or not label else value for value in values])
+
+
+def as_matches(rows):
+    """The Matches of match rows, with no contributors."""
+    n = len(rows)
+    ids, votes, labels, counts, imputed = zip(*rows) if rows else ((),) * 5
+    return Matches(ids=list(ids), votes=np.array(votes, dtype=float), estimates=np.array(labels, dtype=np.int64),
+                   matched=np.array(counts, dtype=np.int64), imputed=np.array(imputed, dtype=float).reshape(n, 2),
+                   top_ids=np.empty((n, 0), dtype=object), top_sims=np.empty((n, 0)))
 
 
 def unlabeled_rows(n):
@@ -40,7 +46,7 @@ class TestBuildSimilarDataset:
     def test_all_abstentions_give_empty_dataset(self):
         data = unlabeled_rows(5)
         matches = [match(f"u{i}", 0) for i in range(5)]
-        similar = build_similar_dataset(matches, data)
+        similar = build_similar_dataset(as_matches(matches), data)
         assert len(similar) == 0
 
     def test_only_confident_matches_survive(self):
@@ -48,7 +54,7 @@ class TestBuildSimilarDataset:
         matches = [match(f"u{i}", 0) for i in range(100)]
         for i, label in zip((3, 20, 55, 90), (1, -1, 1, 1)):
             matches[i] = match(f"u{i}", label, imputed={"g0": 1.0, "g1": None})
-        similar = build_similar_dataset(matches, data)
+        similar = build_similar_dataset(as_matches(matches), data)
         assert len(similar) == 4
         assert [row.label for row in similar.rows] == [1, -1, 1, 1]
         assert [row.id for row in similar.rows] == ["u3", "u20", "u55", "u90"]
@@ -57,7 +63,7 @@ class TestBuildSimilarDataset:
     def test_imputed_values_transcribed_into_estimation_columns(self):
         data = unlabeled_rows(1)
         matches = [match("u0", 1, vote=0.9, imputed={"g0": 2.5, "g1": 7.0})]
-        similar = build_similar_dataset(matches, data)
+        similar = build_similar_dataset(as_matches(matches), data)
         row = similar.rows[0]
         assert row.features["g0"] == 2.5
         assert row.features["g1"] == 7.0
@@ -69,21 +75,26 @@ class TestBuildSimilarDataset:
     def test_null_imputations_stay_missing(self):
         data = unlabeled_rows(1)
         matches = [match("u0", -1, imputed={"g0": None, "g1": None})]
-        similar = build_similar_dataset(matches, data)
+        similar = build_similar_dataset(as_matches(matches), data)
         assert "g0" not in similar.rows[0].features
         assert "g1" not in similar.rows[0].features
 
     def test_unknown_match_id_rejected(self):
         data = unlabeled_rows(2)
         with pytest.raises(AugmentError, match="ghost"):
-            build_similar_dataset([match("ghost", 1)], data)
+            build_similar_dataset(as_matches([match("ghost", 1)]), data)
+
+    def test_duplicate_match_id_rejected_even_when_abstaining(self):
+        data = unlabeled_rows(2)
+        with pytest.raises(AugmentError, match="duplicate match id 'u0'"):
+            build_similar_dataset(as_matches([match("u0", 0), match("u1", 1), match("u0", 0)]), data)
 
     def test_row_count_equals_confident_count(self):
         rng = np.random.default_rng(21)
         _, labeled, unlabeled, ranges = random_instance(rng, n_labeled=15, n_unlabeled=60)
         results = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.4, c=0.2))
         similar = build_similar_dataset(results, unlabeled)
-        assert len(similar) == sum(1 for r in results if r.estimated_label != 0)
+        assert len(similar) == np.count_nonzero(results.estimates)
 
 
 class TestMergeDatasets:
@@ -104,7 +115,7 @@ class TestMergeDatasets:
 
     def test_empty_similar_set_is_identity(self):
         real = self.real_rows(5)
-        merged = merge_datasets(real, build_similar_dataset([], unlabeled_rows(0)))
+        merged = merge_datasets(real, build_similar_dataset(as_matches([]), unlabeled_rows(0)))
         assert merged.rows == real.rows
         assert all(row.source == SOURCE_REAL for row in merged.rows)
 
@@ -112,7 +123,7 @@ class TestMergeDatasets:
         real = self.real_rows(80)
         data = unlabeled_rows(10)
         matches = [match(f"u{i}", 1 if i % 2 else -1, imputed={"g0": 1.0, "g1": 1.0}) for i in range(4)]
-        similar = build_similar_dataset(matches, data)
+        similar = build_similar_dataset(as_matches(matches), data)
         merged = merge_datasets(real, similar)
         assert len(merged) == 84
         flagged = [row for row in merged.rows if row.source == SOURCE_SIMILAR]
@@ -126,14 +137,14 @@ class TestMergeDatasets:
             "real",
         )
         data = Dataset(SCHEMA, [make_sample("x", {"f0": 1.0, "f1": 1.0})], "unlabeled")
-        similar = build_similar_dataset([match("x", -1, imputed={"g0": None, "g1": None})], data)
+        similar = build_similar_dataset(as_matches([match("x", -1, imputed={"g0": None, "g1": None})]), data)
         merged = merge_datasets(real, similar)
         assert len(merged) == 2
         assert {row.id for row in merged.rows} == {"x", f"{SIMILAR_ID_PREFIX}x"}
 
     def test_schema_mismatch_rejected(self):
         real = self.real_rows(2)
-        other = build_similar_dataset([], Dataset(make_schema(1, 0), [], "other"))
+        other = build_similar_dataset(as_matches([]), Dataset(make_schema(1, 0), [], "other"))
         with pytest.raises(AugmentError, match="schema"):
             merge_datasets(real, other)
 
@@ -141,6 +152,6 @@ class TestMergeDatasets:
         real = self.real_rows(10)
         data = unlabeled_rows(6)
         matches = [match(f"u{i}", 1, imputed={"g0": 0.5, "g1": None}) for i in range(6)]
-        merged = merge_datasets(real, build_similar_dataset(matches, data))
+        merged = merge_datasets(real, build_similar_dataset(as_matches(matches), data))
         recovered = [row for row in merged.rows if row.source == SOURCE_REAL]
         assert recovered == real.rows

@@ -368,7 +368,16 @@ class TestCliRobustness:
         ("ranges.json", "calibrate", lambda p: p["bounds"].update(f1=[math.nan, 1.0]), "'f1'"),
         ("model_plain.json", "score", lambda p: p.update(weights=[]), "model_plain.json"),
         ("eval_report.json", "report", lambda p: p.update(models=[], testsets=[]), "eval_report.json"),
-    ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models"])
+        ("ranges.json", "calibrate", lambda p: [p[key].pop("f1") for key in ("ranges", "bounds")], "'f1'"),
+        ("ranges.json", "match", lambda p: [p[key].update(zz=p[key]["f0"]) for key in ("ranges", "bounds")], "'zz'"),
+        ("ranges.json", "probe-shell", lambda p: p.update(ranges=dict(reversed(p["ranges"].items()))), "in order"),
+        ("model_plain.json", "probe-grid", lambda p: p["weights"].update(f0=math.nan), "'f0'"),
+        ("model_plain.json", "score", lambda p: p["feature_scales"].update(f1=0.0), "'f1'"),
+        ("model_plain.json", "score", lambda p: p["feature_means"].update(f2=-math.inf), "'f2'"),
+        ("model_plain.json", "score", lambda p: p.update(intercept=math.inf), "intercept"),
+    ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models",
+            "range-table-lacks-a-feature", "range-table-extra-feature", "range-table-out-of-order",
+            "nan-weight", "zero-scale", "infinite-mean", "infinite-intercept"])
     def test_misshapen_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command, edit, named):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step in PIPELINE[:-1]:
@@ -380,6 +389,27 @@ class TestCliRobustness:
         assert main([command, "--config", str(fx["config"])]) == 1
         message = one_error_line(capsys)["message"]
         assert artifact in message and named in message
+
+    @pytest.mark.parametrize("column, value", [
+        ("y_hat", "7"), ("t", "nan"), ("t", "5.0"), ("t", ""), ("matched_count", "-4"), ("g0", "inf"),
+    ], ids=["y_hat-7", "t-nan", "t-5", "t-empty", "negative-matched-count", "infinite-imputed"])
+    def test_corrupt_match_row_exits_cleanly(self, tmp_path, capsys, column, value):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
+        for step, flags in (("split", []), ("ranges", []), ("calibrate", ["--c", "0.5"]), ("match", [])):
+            assert main([step, "--config", str(fx["config"]), *flags]) == 0
+        path = fx["out"] / "match_train.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        row = next(n for n, line in enumerate(lines[1:], start=1) if line.split(",")[2] != "0")
+        cells = lines[row].split(",")
+        cells[header.index(column)] = value
+        lines[row] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["augment", "--config", str(fx["config"])]) == 1
+        message = one_error_line(capsys)["message"]
+        assert str(path) in message and f"row {row}:" in message and column in message
+        assert not (fx["out"] / "similar_train.csv").exists()
 
     def test_unwritable_out_dir_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)

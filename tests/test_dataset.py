@@ -86,6 +86,12 @@ class TestCsvText:
         # two columns: a row of one empty field is written as ""
         assert csv_text(["a", "v"], [["x", value], ["y", None]]) == f"a,v\nx,{value!r}\ny,\n"
 
+    @pytest.mark.parametrize("cell", ["\r", "a\rb", "a,\rb"])
+    def test_carriage_return_in_a_cell_is_refused(self, cell):
+        # csv.writer leaves "a\rb" unquoted under a "\n" line terminator, and csv.reader splits the row there
+        with pytest.raises(DataError, match="carriage return"):
+            csv_text(["id", "v"], [["x", 1.0], [cell, 2.0]])
+
 
 class TestLoadDataset:
     def test_three_valid_rows(self, tmp_path):

@@ -2,8 +2,10 @@
 
 import json
 import math
+import tempfile
 from dataclasses import replace
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,18 +13,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import simlabel.matcher
-from conftest import T0, make_sample, make_schema, random_instance
+from conftest import T0, make_sample, make_schema, match_dicts, random_instance
 from oracles import gower_oracle, match_oracle
 from simlabel.dataset import Dataset
-from simlabel.errors import MatcherError
+from simlabel.errors import DataError, MatcherError
 from simlabel.kernel import RangeTable, compute_ranges
 from simlabel.matcher import (
-    MatchResult,
+    Matches,
     SimilarityParams,
     calibrate_confidence_threshold,
     calibrate_similarity_threshold,
+    contributors_to_json_dict,
     contributors_to_json_text,
-    estimate_label,
     labeled_similarity_distribution,
     load_matches,
     match_batch,
@@ -46,6 +48,18 @@ def labeled_line(points):
             feats["g0"] = spec[2]
         rows.append(make_sample(f"l{i}", feats, label=label, ts=T0 + timedelta(hours=i)))
     return Dataset(SCHEMA_1D, rows, "line labeled")
+
+
+def match_rows(matches, schema):
+    """match_dicts of matches, each with its top contributors as (id, similarity) pairs under "top"."""
+    tops = contributors_to_json_dict(matches).values()
+    return [{**row, "top": top} for row, top in zip(match_dicts(matches, schema.estimation_features), tops)]
+
+
+def estimate_label(u, labeled, ranges, params):
+    """match_rows of match_batch on the one-row dataset of u."""
+    [result] = match_rows(match_batch(Dataset(labeled.schema, [u]), labeled, ranges, params), labeled.schema)
+    return result
 
 
 def unlabeled_line(positions):
@@ -147,9 +161,9 @@ class TestCalibrateConfidenceThreshold:
         labeled = labeled_line([(0.0, 1), (0.05, 1)])
         unlabeled = unlabeled_line([0.01, 0.02])
         params = SimilarityParams(d=0.5, c=1.0)
-        results = match_batch(unlabeled, labeled, LINE, params)
-        assert all(r.estimated_label == 0 for r in results)
-        assert all(r.vote == 1.0 for r in results)  # pure votes, still below the strict bound
+        matches = match_batch(unlabeled, labeled, LINE, params)
+        assert matches.estimates.tolist() == [0, 0]
+        assert matches.votes.tolist() == [1.0, 1.0]  # pure votes, still below the strict bound
 
     def test_no_defined_votes_returns_one(self):
         labeled = labeled_line([(0.0, 1), (0.1, -1)])
@@ -178,7 +192,7 @@ class TestCalibrateConfidenceThreshold:
             d = calibrate_similarity_threshold(labeled, ranges, 0.8)
             c = calibrate_confidence_threshold(labeled, unlabeled, ranges, d, 0.1)
             votes = unlabeled_votes(unlabeled, labeled, ranges, d)
-            assigned = sum(1 for t in votes if t is not None and abs(t) > c)
+            assigned = sum(1 for t in votes.tolist() if not math.isnan(t) and abs(t) > c)
             assert assigned / len(unlabeled.rows) < 0.1
 
 
@@ -187,25 +201,18 @@ class TestEstimateLabel:
         labeled = labeled_line([(0.0, 1, 5.0), (0.1, -1, 6.0)])
         u = make_sample("u", {"f0": 0.9})
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=0.5, c=0.3))
-        assert result == MatchResult(
-            unlabeled_id="u",
-            vote=None,
-            estimated_label=0,
-            imputed_features=None,
-            matched_count=0,
-            top_contributors=(),
-        )
+        assert result == {"id": "u", "t": None, "y_hat": 0, "imputed": None, "matched_count": 0, "top": []}
 
     def test_single_confident_neighbor(self):
         labeled = labeled_line([(0.03, 1, 7.5), (0.9, -1, 1.0)])
         u = make_sample("u", {"f0": 0.0})
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=0.9, c=0.5))
-        assert result.vote == 1.0
-        assert result.estimated_label == 1
-        assert result.matched_count == 1
-        assert result.top_contributors[0][0] == "l0"
-        assert result.top_contributors[0][1] == pytest.approx(0.97, abs=1e-12)
-        assert result.imputed_features["g0"] == pytest.approx(7.5, abs=1e-12)
+        assert result["t"] == 1.0
+        assert result["y_hat"] == 1
+        assert result["matched_count"] == 1
+        assert result["top"][0][0] == "l0"
+        assert result["top"][0][1] == pytest.approx(0.97, abs=1e-12)
+        assert result["imputed"]["g0"] == pytest.approx(7.5, abs=1e-12)
 
     def test_three_neighbor_hand_vote(self):
         labeled = labeled_line([(0.04, 1, 2.0), (0.06, 1, 4.0), (0.08, -1, 6.0)])
@@ -214,55 +221,55 @@ class TestEstimateLabel:
         expected_t = (w1 + w2 - w3) / (w1 + w2 + w3)
 
         low_c = estimate_label(u, labeled, LINE, SimilarityParams(d=0.9, c=0.3))
-        assert low_c.vote == expected_t
-        assert low_c.vote == pytest.approx(0.3475, abs=1e-4)
-        assert low_c.estimated_label == 1
-        assert low_c.matched_count == 3
+        assert low_c["t"] == expected_t
+        assert low_c["t"] == pytest.approx(0.3475, abs=1e-4)
+        assert low_c["y_hat"] == 1
+        assert low_c["matched_count"] == 3
         expected_g0 = (w1 * 2.0 + w2 * 4.0 + w3 * 6.0) / (w1 + w2 + w3)
-        assert low_c.imputed_features["g0"] == expected_g0
+        assert low_c["imputed"]["g0"] == expected_g0
 
         high_c = estimate_label(u, labeled, LINE, SimilarityParams(d=0.9, c=0.5))
-        assert high_c.estimated_label == 0
-        assert high_c.imputed_features is None
-        assert high_c.vote == expected_t
+        assert high_c["y_hat"] == 0
+        assert high_c["imputed"] is None
+        assert high_c["t"] == expected_t
 
     def test_imputation_skips_contributors_missing_the_feature(self):
         labeled = labeled_line([(0.02, 1, 3.0), (0.04, 1, None)])
         u = make_sample("u", {"f0": 0.0})
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=0.9, c=0.5))
-        assert result.matched_count == 2
-        assert result.imputed_features["g0"] == pytest.approx(3.0, abs=1e-12)
+        assert result["matched_count"] == 2
+        assert result["imputed"]["g0"] == pytest.approx(3.0, abs=1e-12)
 
     def test_feature_missing_in_all_contributors_imputes_null(self):
         labeled = labeled_line([(0.02, 1, None), (0.04, 1, None)])
         u = make_sample("u", {"f0": 0.0})
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=0.9, c=0.5))
-        assert result.estimated_label == 1
-        assert result.imputed_features == {"g0": None}
+        assert result["y_hat"] == 1
+        assert result["imputed"] == {"g0": None}
 
     def test_threshold_tie_excluded(self):
         labeled = labeled_line([(0.1, 1)])
         u = make_sample("u", {"f0": 0.0})
         sim = 1.0 - 0.1
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=sim, c=0.1))
-        assert result.matched_count == 0  # strict k > d
+        assert result["matched_count"] == 0  # strict k > d
 
     def test_top_contributors_capped_and_sorted(self):
         points = [(0.001 * i, 1) for i in range(1, 16)]
         labeled = labeled_line(points)
         u = make_sample("u", {"f0": 0.0})
         result = estimate_label(u, labeled, LINE, SimilarityParams(d=0.5, c=0.1))
-        assert result.matched_count == 15
-        assert len(result.top_contributors) == 10
-        sims = [s for _, s in result.top_contributors]
+        assert result["matched_count"] == 15
+        assert len(result["top"]) == 10
+        sims = [s for _, s in result["top"]]
         assert sims == sorted(sims, reverse=True)
-        assert result.top_contributors[0][0] == "l0"
+        assert result["top"][0][0] == "l0"
 
     def test_top_contributor_ties_keep_labeled_order(self):
         labeled = labeled_line([(0.02 if i % 3 else 0.01, 1) for i in range(40)])
         result = estimate_label(make_sample("u", {"f0": 0.0}), labeled, LINE, SimilarityParams(d=0.5, c=0.1))
         expected = [f"l{i}" for i in range(0, 40, 3)][:10]
-        assert [cid for cid, _ in result.top_contributors] == expected
+        assert [cid for cid, _ in result["top"]] == expected
 
     def test_invalid_labels_rejected(self):
         rows = [make_sample("l0", {"f0": 0.0})]  # unlabeled row in the labeled set
@@ -274,28 +281,23 @@ class TestEstimateLabel:
 class TestMatchBatch:
     def test_empty_unlabeled_gives_empty_result(self):
         labeled = labeled_line([(0.0, 1), (1.0, -1)])
-        assert match_batch(Dataset(SCHEMA_1D, []), labeled, LINE, SimilarityParams(d=0.5, c=0.5)) == []
+        matches = match_batch(Dataset(SCHEMA_1D, []), labeled, LINE, SimilarityParams(d=0.5, c=0.5))
+        assert len(matches) == 0
+        assert matches.imputed.shape == (0, 1) and matches.top_ids.shape == (0, 2)
 
     def test_batch_equals_per_row_calls(self):
         rng = np.random.default_rng(3)
         _, labeled, unlabeled, ranges = random_instance(rng, n_labeled=15, n_unlabeled=40)
         params = SimilarityParams(d=0.6, c=0.2)
-        batch = match_batch(unlabeled, labeled, ranges, params)
-        singles = [estimate_label(row, labeled, ranges, params) for row in unlabeled.rows]
-        assert batch == singles
+        batch = match_rows(match_batch(unlabeled, labeled, ranges, params), labeled.schema)
+        assert batch == [estimate_label(row, labeled, ranges, params) for row in unlabeled.rows]
 
-    def test_worker_count_does_not_change_output_bytes(self):
-        rng = np.random.default_rng(4)
-        schema, labeled, unlabeled, ranges = random_instance(rng, n_labeled=20, n_unlabeled=60)
-        params = SimilarityParams(d=0.5, c=0.2)
-        texts = {
-            workers: matches_to_csv_text(
-                match_batch(unlabeled, labeled, ranges, params, workers=workers),
-                schema.estimation_features,
-            )
-            for workers in (1, 2, 8)
-        }
-        assert texts[1] == texts[2] == texts[8]
+    def test_contributor_arrays_are_padded_past_the_matched_count(self):
+        labeled = labeled_line([(0.0, 1), (0.05, -1), (0.5, 1)])
+        matches = match_batch(unlabeled_line([0.0, 0.9]), labeled, LINE, SimilarityParams(d=0.9, c=0.5))
+        assert matches.matched.tolist() == [2, 0]
+        assert matches.top_ids.tolist() == [["l0", "l1", None], [None, None, None]]
+        assert matches.top_sims[0, :2].tolist() == [1.0, 0.95] and np.isnan(matches.top_sims[:, 2]).all()
 
     def test_block_size_never_changes_results(self, monkeypatch):
         rng = np.random.default_rng(15)
@@ -313,9 +315,15 @@ class TestMatchBatch:
                 )
 
             default = passes()
-            assert any(result.imputed_features for result in default[0])
+            assert not np.isnan(default[0].imputed).all()
             monkeypatch.setattr(simlabel.matcher, "BLOCK_PAIRS", 7)
-            assert passes() == default
+            matches, votes, pairs = passes()
+            assert matches.ids == default[0].ids
+            assert np.array_equal(matches.top_ids, default[0].top_ids)
+            for name in ("votes", "estimates", "matched", "imputed", "top_sims"):
+                assert np.array_equal(getattr(matches, name), getattr(default[0], name), equal_nan=True), name
+            assert np.array_equal(votes, default[1], equal_nan=True)
+            assert pairs == default[2]
             monkeypatch.undo()
 
     def test_schema_mismatch_rejected(self):
@@ -339,17 +347,17 @@ class TestMatcherProperties:
         for _ in range(30):
             _, labeled, unlabeled, ranges = random_instance(rng, n_labeled=10, n_unlabeled=25)
             params = SimilarityParams(d=float(rng.uniform(0.3, 0.9)), c=0.3)
-            for result in match_batch(unlabeled, labeled, ranges, params):
-                if result.vote is None:
-                    assert result.estimated_label == 0
+            for result in match_rows(match_batch(unlabeled, labeled, ranges, params), labeled.schema):
+                if result["t"] is None:
+                    assert result["y_hat"] == 0
                     continue
-                assert -1.0 <= result.vote <= 1.0
+                assert -1.0 <= result["t"] <= 1.0
                 contributing = {
-                    labeled.by_id()[cid].label for cid, _ in result.top_contributors
+                    labeled.by_id()[cid].label for cid, _ in result["top"]
                 }
-                if result.vote == 1.0:
+                if result["t"] == 1.0:
                     assert contributing == {1}
-                if result.vote == -1.0:
+                if result["t"] == -1.0:
                     assert contributing == {-1}
 
     def test_raising_c_never_adds_assignments(self):
@@ -358,7 +366,7 @@ class TestMatcherProperties:
         counts = []
         for c in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             results = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.5, c=c))
-            counts.append(sum(1 for r in results if r.estimated_label != 0))
+            counts.append(np.count_nonzero(results.estimates))
         assert counts == sorted(counts, reverse=True)
 
     def test_raising_d_never_adds_matches(self):
@@ -367,7 +375,7 @@ class TestMatcherProperties:
         previous = None
         for d in (0.2, 0.4, 0.6, 0.8):
             results = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=d, c=0.5))
-            counts = [r.matched_count for r in results]
+            counts = results.matched.tolist()
             if previous is not None:
                 assert all(now <= before for now, before in zip(counts, previous))
             previous = counts
@@ -380,11 +388,11 @@ class TestMatcherProperties:
             )
             results = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.3, c=0.1))
             by_id = labeled.by_id()
-            for result in results:
-                if not result.imputed_features:
+            for result in match_rows(results, labeled.schema):
+                if not result["imputed"]:
                     continue
-                contributors = [by_id[cid] for cid, _ in result.top_contributors]
-                for feature, value in result.imputed_features.items():
+                contributors = [by_id[cid] for cid, _ in result["top"]]
+                for feature, value in result["imputed"].items():
                     if value is None:
                         continue
                     seen = [
@@ -404,15 +412,15 @@ class TestMatcherProperties:
         ]
         flipped = Dataset(labeled.schema, flipped_rows, "flipped")
         params = SimilarityParams(d=0.4, c=0.25)
-        original = match_batch(unlabeled, labeled, ranges, params)
-        negated = match_batch(unlabeled, flipped, ranges, params)
+        original = match_rows(match_batch(unlabeled, labeled, ranges, params), labeled.schema)
+        negated = match_rows(match_batch(unlabeled, flipped, ranges, params), labeled.schema)
         for a, b in zip(original, negated):
-            if a.vote is None:
-                assert b.vote is None
+            if a["t"] is None:
+                assert b["t"] is None
             else:
-                assert b.vote == pytest.approx(-a.vote, abs=1e-12)
-            assert b.estimated_label == -a.estimated_label
-            assert b.matched_count == a.matched_count
+                assert b["t"] == pytest.approx(-a["t"], abs=1e-12)
+            assert b["y_hat"] == -a["y_hat"]
+            assert b["matched_count"] == a["matched_count"]
 
     def test_exact_oracle_agreement_on_random_instances(self):
         rng = np.random.default_rng(14)
@@ -465,21 +473,19 @@ class TestMatcherProperties:
                     ties_at_c += 1
             got = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=d, c=c))
             expected = oracle(d, c)
-            assert len(got) == len(expected)
-            for mine, ref in zip(got, expected):
-                assert mine.unlabeled_id == ref["id"]
-                assert mine.vote == ref["t"]
-                assert mine.estimated_label == ref["y_hat"]
-                assert mine.imputed_features == ref["imputed"]
-                assert mine.matched_count == ref["matched_count"]
+            assert match_dicts(got, schema.estimation_features) == expected
         assert ties_at_c >= 10
 
 
 IDS = st.text(max_size=4) | st.text(
-    alphabet=st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "a", "é", "\u2028", "𝄞", ",", " "]), max_size=4)
+    alphabet=st.sampled_from(['"', "\\", "\n", "\r", "\x00", "\x7f", "a", "é", "\u2028", "𝄞", ",", " "]), max_size=4)
 SIMILARITIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
 CONTRIBUTOR = st.tuples(IDS, SIMILARITIES)
+CELLS = st.sampled_from([math.nan, -0.0, 5e-324, -5e-324])
+# (id, t, whether the row is confident, matched_count, imputed g0 and g1); a confident row's y_hat is t's sign
+MATCH_ROW = st.tuples(IDS, st.floats(-1.0, 1.0) | CELLS, st.booleans(), st.integers(0, 2**53),
+                      st.lists(st.floats(allow_nan=False, allow_infinity=False) | CELLS, min_size=2, max_size=2))
 
 
 class TestMatchSerialization:
@@ -489,20 +495,44 @@ class TestMatchSerialization:
         results = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.4, c=0.2))
         text = matches_to_csv_text(results, schema.estimation_features)
         assert text.splitlines()[0] == "id,t,y_hat,matched_count,g0,g1"
-
-        import tempfile
-        from pathlib import Path
-
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "match.csv"
             path.write_text(text, encoding="utf-8")
             loaded = load_matches(path, schema.estimation_features)
-        for original, parsed in zip(results, loaded):
-            assert parsed.unlabeled_id == original.unlabeled_id
-            assert parsed.vote == original.vote
-            assert parsed.estimated_label == original.estimated_label
-            assert parsed.imputed_features == original.imputed_features
-            assert parsed.matched_count == original.matched_count
+        assert match_dicts(loaded, schema.estimation_features) == match_dicts(results, schema.estimation_features)
+        assert loaded.top_ids.shape == loaded.top_sims.shape == (len(results), 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(MATCH_ROW, max_size=6))
+    @example([("u", 5e-324, True, 2**53, [-0.0, math.nan]), ("", math.nan, True, 0, [1.0, 5e-324]),
+              ("w", -0.0, True, 1, [0.5, 0.5]), ("x", -5e-324, True, 3, [-5e-324, 1e16])])
+    @example([("a\rb", 0.5, True, 1, [1.0, 2.0])])
+    def test_csv_text_round_trips_through_load_matches(self, rows):
+        n = len(rows)
+        estimates = [int(np.sign(vote)) if confident and not math.isnan(vote) else 0 for _, vote, confident, *_ in rows]
+        matches = Matches(
+            ids=[uid for uid, *_ in rows],
+            votes=np.array([vote for _, vote, *_ in rows], dtype=np.float64),
+            estimates=np.array(estimates, dtype=np.int64),
+            matched=np.array([count for *_, count, _ in rows], dtype=np.int64),
+            imputed=np.array([values if y_hat else [math.nan] * 2
+                              for (*_, values), y_hat in zip(rows, estimates)]).reshape(n, 2),
+            top_ids=np.empty((n, 0), dtype=object),
+            top_sims=np.empty((n, 0)),
+        )
+        if any("\r" in uid for uid in matches.ids):
+            with pytest.raises(DataError, match="carriage return"):
+                matches_to_csv_text(matches, ["g0", "g1"])
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "match.csv"
+            path.write_text(matches_to_csv_text(matches, ["g0", "g1"]), encoding="utf-8")
+            loaded = load_matches(path, ["g0", "g1"])
+        assert loaded.ids == matches.ids
+        for name in ("votes", "estimates", "matched", "imputed"):
+            # repr tells -0.0 from 0.0 and writes every NaN alike
+            assert list(map(repr, getattr(loaded, name).ravel().tolist())) == list(
+                map(repr, getattr(matches, name).ravel().tolist())), name
 
     @settings(max_examples=300, deadline=None)
     @given(st.dictionaries(IDS, st.lists(CONTRIBUTOR | CONTRIBUTOR.map(list), max_size=4)

@@ -184,14 +184,6 @@ class TestSimilarityShell:
         second = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=50, seed=12)
         assert contents(first) != contents(second)
 
-    def test_worker_count_does_not_change_output(self):
-        shells = {
-            workers: contents(similarity_shell(BASE, ["f0", "f1", "f2"], RANGES, d=0.85, n=64, seed=9,
-                                               workers=workers))
-            for workers in (1, 2, 8)
-        }
-        assert shells[1] == shells[2] == shells[8]
-
     def test_values_clamped_to_observed_bounds(self):
         edge = make_sample("edge", {"f0": 2.0, "f1": 2.0, "f2": 2.0})
         shell = similarity_shell(edge, ["f0", "f1"], RANGES, d=0.5, n=100, seed=13)
