@@ -22,8 +22,7 @@ _EXPORTS = {
     **dict.fromkeys(("EvalReport", "McNemarResult", "auc_roc", "evaluate_table", "mcnemar_test"),
                     "evaluation"),
     **dict.fromkeys(("RangeTable", "compute_ranges", "gower_similarity"), "kernel"),
-    **dict.fromkeys(("Matches", "SimilarityParams", "calibrate_confidence_threshold",
-                     "calibrate_similarity_threshold", "match_batch"), "matcher"),
+    **dict.fromkeys(("Calibration", "Matches", "SimilarityParams", "calibrate", "match_batch"), "matcher"),
     **dict.fromkeys(("LinearModel", "ScoreFile", "TrainConfig", "load_external_scores",
                      "predict_scores", "train_logistic"), "model"),
     **dict.fromkeys(("ProbeGrid", "RecourseReport", "Shell", "probability_grid", "recourse_probe",

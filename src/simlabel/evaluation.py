@@ -193,7 +193,7 @@ class EvalReport:
                         c=int(entry["c"]),
                         statistic=None if entry["statistic"] is None else float(entry["statistic"]),
                         p_value=float(entry["p_value"]),
-                        variant=str(entry["variant"]),
+                        variant=entry["variant"],
                     ),
                 )
                 for entry in payload["mcnemar"]
@@ -203,6 +203,16 @@ class EvalReport:
             raise EvalError(f"malformed evaluation report payload: {err}") from err
         if not models or not testsets:
             raise EvalError("evaluation report payload names no models or no test sets")
+        variants = (EXACT_VARIANT, CHI_SQUARE_VARIANT)
+        bad = [comp.result.variant for comp in comparisons if comp.result.variant not in variants]
+        if bad:
+            raise EvalError(f"McNemar variant must be one of {variants}, got {bad[0]!r}")
+        deltas = metadata.get("augmented_vs_plain_auc_delta", {})
+        if not isinstance(deltas, dict) or not all(
+            isinstance(row, dict) and all(type(v) in (int, float) and math.isfinite(v) for v in row.values())
+            for row in deltas.values()
+        ):
+            raise EvalError("augmented_vs_plain_auc_delta must map models to objects of finite numbers")
         return cls(models, testsets, auc, comparisons, metadata)
 
     def render_text(self) -> str:

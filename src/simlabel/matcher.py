@@ -127,77 +127,52 @@ def _labeled_blocks(unlabeled: Dataset, labeled: Dataset, ranges: RangeTable):
                    unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges)
 
 
-def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> list[float]:
+def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> np.ndarray:
     """All N*(N-1)/2 Gower similarities between labeled rows, pair order row-major.
 
     Each row is compared with the rows after it.
     """
     rows = labeled.rows
     x = feature_matrix(rows, ranges.features())
-    sims: list[float] = []
+    sims = [np.empty(0)]
     for i in range(len(rows) - 1):
         for _, block in _blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges):
-            sims.extend(block[0].tolist())
-    return sims
+            sims.append(block[0])
+    return np.concatenate(sims)
 
 
-def nearest_rank(sorted_values: Sequence[float], percentile: float) -> float:
-    """Value at index ceil(p * M) - 1 of an ascending list (clamped to valid indexes)."""
-    if not sorted_values:
-        raise MatcherError("nearest_rank needs a non-empty list")
+def nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
+    """Value at index ceil(p * M) - 1 of an ascending array (clamped to valid indexes)."""
     m = len(sorted_values)
+    if not m:
+        raise MatcherError("nearest_rank needs a non-empty array")
     index = math.ceil(percentile * m) - 1
     index = min(max(index, 0), m - 1)
-    return sorted_values[index]
+    return float(sorted_values[index])
 
 
-def _sorted_pairs(labeled: Dataset, ranges: RangeTable) -> list[float]:
-    """The labeled pairwise similarities, ascending; the guard runs before the pass."""
-    if len(labeled.rows) < 2:
-        raise MatcherError(
-            f"calibrating d needs at least 2 labeled rows, got {len(labeled.rows)}"
-        )
-    return sorted(pairwise_similarities(labeled, ranges))
-
-
-def calibrate_similarity_threshold(
-    labeled: Dataset,
-    ranges: RangeTable,
-    percentile: float = 0.95,
-    *,
-    sims: Sequence[float] | None = None,
-) -> float:
-    """Fix d at the nearest-rank percentile of all labeled pairwise similarities.
-
-    `sims` is that list, ascending, when the caller has already computed it.
-    """
+def calibrate_similarity_threshold(sims: np.ndarray, percentile: float = 0.95) -> float:
+    """Fix d at the nearest-rank percentile of `sims`, the labeled pairwise similarities ascending."""
     if not 0.0 <= percentile <= 1.0:
         raise MatcherError(f"percentile must be in [0, 1], got {percentile}")
-    return nearest_rank(_sorted_pairs(labeled, ranges) if sims is None else sims, percentile)
+    return nearest_rank(sims, percentile)
 
 
-def labeled_similarity_distribution(
-    labeled: Dataset,
-    ranges: RangeTable,
-    *,
-    sims: Sequence[float] | None = None,
-) -> dict[str, float]:
-    """Diagnostic quantiles of the labeled pairwise-similarity distribution.
+def labeled_similarity_distribution(sims: np.ndarray) -> dict[str, float]:
+    """Diagnostic quantiles of `sims`, the labeled pairwise similarities ascending.
 
     The matching only works when labeled samples are not all near-identical;
     there is no principled hard rule for that, so this summary is reported
-    instead of enforced. `sims` is as in calibrate_similarity_threshold.
+    instead of enforced.
     """
-    if sims is None:
-        sims = _sorted_pairs(labeled, ranges)
     return {
         "pairs": len(sims),
-        "min": sims[0],
+        "min": float(sims[0]),
         "p25": nearest_rank(sims, 0.25),
         "median": nearest_rank(sims, 0.50),
         "p75": nearest_rank(sims, 0.75),
         "p95": nearest_rank(sims, 0.95),
-        "max": sims[-1],
+        "max": float(sims[-1]),
     }
 
 
@@ -230,31 +205,20 @@ def unlabeled_votes(
     return votes
 
 
-def calibrate_confidence_threshold(
-    labeled: Dataset,
-    unlabeled: Dataset,
-    ranges: RangeTable,
-    d: float,
-    target_fraction: float = 0.05,
-    *,
-    votes: np.ndarray | None = None,
-) -> float:
-    """Pick c so that strictly less than target_fraction of unlabeled rows get labels.
+def calibrate_confidence_threshold(votes: np.ndarray, target_fraction: float = 0.05) -> float:
+    """Pick c so that strictly less than target_fraction of the unlabeled `votes` get labels.
 
     Candidates are the observed |t| values swept in descending order; the
     assignment count at candidate c is the number of rows with |t| > c
     (strict), which grows as the sweep descends. The smallest candidate still
     under budget wins. With no defined votes, or a budget nothing satisfies,
-    the fallback c = 1.0 assigns nothing. `votes` is unlabeled_votes at d when
-    the caller has already computed it.
+    the fallback c = 1.0 assigns nothing.
     """
-    if not unlabeled.rows:
-        raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
-    if votes is None:
-        votes = unlabeled_votes(unlabeled, labeled, ranges, d)
+    if not len(votes):
+        raise MatcherError("calibrating c needs the votes of a non-empty unlabeled dataset")
     magnitudes = np.sort(np.abs(votes[~np.isnan(votes)]))
     assigned = len(magnitudes) - np.searchsorted(magnitudes, magnitudes, side="right")  # rows with |t| above each
-    under = magnitudes[assigned / len(unlabeled.rows) < target_fraction]  # a suffix: assigned only falls
+    under = magnitudes[assigned / len(votes) < target_fraction]  # a suffix: assigned only falls
     return under[0].item() if len(under) else 1.0
 
 
@@ -282,19 +246,22 @@ def calibrate(
     A given d or c is a manual override and skips its calibration. The
     labeled pairwise similarities and the unlabeled votes at d are each
     computed once and feed the distribution, d, c and the matched fraction.
+    The guards run before either pass.
     """
     if not unlabeled.rows:
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
-    sims = _sorted_pairs(labeled, ranges)
-    distribution = labeled_similarity_distribution(labeled, ranges, sims=sims)
+    if len(labeled.rows) < 2:
+        raise MatcherError(f"calibrating d needs at least 2 labeled rows, got {len(labeled.rows)}")
+    sims = np.sort(pairwise_similarities(labeled, ranges))
+    distribution = labeled_similarity_distribution(sims)
     if d is None:
-        d = calibrate_similarity_threshold(labeled, ranges, percentile, sims=sims)
+        d = calibrate_similarity_threshold(sims, percentile)
         d_note = f"d: nearest-rank {percentile} percentile of {len(sims)} labeled pairwise similarities"
     else:
         d_note = f"d: manual override {d!r}"
     votes = unlabeled_votes(unlabeled, labeled, ranges, d)
     if c is None:
-        c = calibrate_confidence_threshold(labeled, unlabeled, ranges, d, target_fraction, votes=votes)
+        c = calibrate_confidence_threshold(votes, target_fraction)
         c_note = f"c: descending sweep under budget {target_fraction} of {len(unlabeled)} unlabeled"
     else:
         c_note = f"c: manual override {c!r}"

@@ -107,7 +107,7 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearModel":
-        """The model a payload describes: weights, intercept, means and scales finite, scales > 0."""
+        """The model a payload describes: means and scales name the weights' features, all finite, scales > 0."""
         try:
             model = cls(
                 weights={str(k): float(v) for k, v in payload["weights"].items()},
@@ -122,6 +122,11 @@ class LinearModel:
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ModelError(f"malformed model payload: {err}") from err
+        for what, values in (("feature_means", model.feature_means), ("feature_scales", model.feature_scales)):
+            missing, extra = model.weights.keys() - values.keys(), values.keys() - model.weights.keys()
+            if missing or extra:
+                raise ModelError(f"model {what} must name exactly the weights' features: "
+                                 f"missing {sorted(missing)}, extra {sorted(extra)}")
         bad = [] if math.isfinite(model.intercept) else [f"intercept {model.intercept}"]
         named = (("weight", model.weights), ("mean", model.feature_means), ("scale", model.feature_scales))
         for what, values in named:

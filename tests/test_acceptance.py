@@ -27,10 +27,11 @@ from simlabel.evaluation import auc_roc, mcnemar_test
 from simlabel.kernel import RangeTable, compute_ranges, gower_similarity
 from simlabel.matcher import (
     SimilarityParams,
-    calibrate_confidence_threshold,
+    calibrate,
     calibrate_similarity_threshold,
     match_batch,
     nearest_rank,
+    pairwise_similarities,
     unlabeled_votes,
 )
 from simlabel.model import LinearModel, ScoreFile, TrainConfig, predict_scores, smooth_loss, smooth_loss_grad, train_logistic
@@ -143,7 +144,7 @@ def test_threshold_calibration():
         schema, [make_sample(f"l{i}", {"f0": 0.5}, label=1 if i % 2 else -1) for i in range(4)]
     )
     for percentile in (0.05, 0.5, 0.95):
-        assert calibrate_similarity_threshold(identical, line, percentile) == 1.0
+        assert calibrate_similarity_threshold(np.sort(pairwise_similarities(identical, line)), percentile) == 1.0
 
     rng = np.random.default_rng(2003)
     _, labeled, unlabeled, ranges = random_instance(rng, n_labeled=12, n_unlabeled=200, missing_rate=0.0)
@@ -155,7 +156,7 @@ def test_threshold_calibration():
             )
     pairs.sort()
     expected_d = pairs[min(max(math.ceil(0.95 * len(pairs)) - 1, 0), len(pairs) - 1)]
-    d = calibrate_similarity_threshold(labeled, ranges, 0.95)
+    d = calibrate(labeled, unlabeled, ranges, 0.95).params.d
     assert d == expected_d
 
     # calibrated c keeps the matched fraction strictly under the default 5% budget
@@ -164,8 +165,8 @@ def test_threshold_calibration():
         rng, n_labeled_per=60, n_unlabeled_per=400, n_sim=4, std=0.8, labeled_spread=2.75, center=0.6
     )
     ranges2 = compute_ranges([labeled2, unlabeled2], schema2)
-    d2 = calibrate_similarity_threshold(labeled2, ranges2, 0.95)
-    c2 = calibrate_confidence_threshold(labeled2, unlabeled2, ranges2, d2, 0.05)
+    params2 = calibrate(labeled2, unlabeled2, ranges2, 0.95, 0.05).params
+    d2, c2 = params2.d, params2.c
     votes = unlabeled_votes(unlabeled2, labeled2, ranges2, d2)
     assigned = sum(1 for t in votes.tolist() if not math.isnan(t) and abs(t) > c2)
     assert assigned / len(unlabeled2.rows) < 0.05
@@ -179,7 +180,7 @@ def test_two_cluster_recovery():
         rng, n_labeled_per=20, n_unlabeled_per=400, n_sim=4, center=1.0
     )
     ranges = compute_ranges([labeled, unlabeled], schema)
-    d = calibrate_similarity_threshold(labeled, ranges, 0.95)
+    d = calibrate(labeled, unlabeled, ranges, 0.95).params.d
     params = SimilarityParams(d=d, c=0.5)
     results = match_dicts(match_batch(unlabeled, labeled, ranges, params), schema.estimation_features)
 

@@ -375,9 +375,18 @@ class TestCliRobustness:
         ("model_plain.json", "score", lambda p: p["feature_scales"].update(f1=0.0), "'f1'"),
         ("model_plain.json", "score", lambda p: p["feature_means"].update(f2=-math.inf), "'f2'"),
         ("model_plain.json", "score", lambda p: p.update(intercept=math.inf), "intercept"),
+        ("model_plain.json", "score", lambda p: p["feature_means"].pop("f0"), "'f0'"),
+        ("model_plain.json", "probe-shell", lambda p: p["feature_scales"].pop("f1"), "'f1'"),
+        ("eval_report.json", "report", lambda p: p["metadata"].update(augmented_vs_plain_auc_delta=5),
+         "augmented_vs_plain_auc_delta"),
+        ("eval_report.json", "report", lambda p: [row.update(dict.fromkeys(row, "0.1"))
+                                                  for row in p["metadata"]["augmented_vs_plain_auc_delta"].values()],
+         "augmented_vs_plain_auc_delta"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(variant=["x"]), "variant"),
     ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models",
             "range-table-lacks-a-feature", "range-table-extra-feature", "range-table-out-of-order",
-            "nan-weight", "zero-scale", "infinite-mean", "infinite-intercept"])
+            "nan-weight", "zero-scale", "infinite-mean", "infinite-intercept", "missing-mean", "missing-scale",
+            "number-for-delta-table", "string-delta", "list-variant"])
     def test_misshapen_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command, edit, named):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step in PIPELINE[:-1]:

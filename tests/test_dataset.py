@@ -2,7 +2,7 @@
 
 import json
 import math
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
 
 import pytest
 from hypothesis import example, given, settings
@@ -109,6 +109,11 @@ class TestLoadDataset:
         assert data.rows[1].features == {"f0": 0.25, "f1": 2.5}
         assert data.rows[2].features == {"f0": 0.1}
         assert data.rows[0].timestamp == datetime(2024, 1, 1)
+
+    def test_z_suffix_timestamp_loads_as_utc(self, tmp_path):
+        path = write(tmp_path, HEADER + "a,2024-01-01T00:00:00Z,1,0,0,\n")
+        timestamp = load_dataset(path, SCHEMA).rows[0].timestamp
+        assert timestamp == datetime(2024, 1, 1, tzinfo=timezone.utc) and timestamp.tzinfo == timezone.utc
 
     def test_label_values_restricted(self, tmp_path):
         rows = [f"r{i},2024-01-0{i + 1}T00:00:00,1,0,0,\n" for i in range(4)]

@@ -21,6 +21,7 @@ from simlabel.kernel import RangeTable, compute_ranges
 from simlabel.matcher import (
     Matches,
     SimilarityParams,
+    calibrate,
     calibrate_confidence_threshold,
     calibrate_similarity_threshold,
     contributors_to_json_dict,
@@ -60,6 +61,11 @@ def estimate_label(u, labeled, ranges, params):
     """match_rows of match_batch on the one-row dataset of u."""
     [result] = match_rows(match_batch(Dataset(labeled.schema, [u]), labeled, ranges, params), labeled.schema)
     return result
+
+
+def sorted_pairs(labeled, ranges):
+    """The labeled pairwise similarities ascending, as calibrate passes them to the d rules."""
+    return np.sort(pairwise_similarities(labeled, ranges))
 
 
 def unlabeled_line(positions):
@@ -102,19 +108,19 @@ class TestCalibrateSimilarityThreshold:
     def test_identical_rows_give_constant_similarity(self):
         rows = [(0.5, 1), (0.5, -1), (0.5, 1)]
         for percentile in (0.05, 0.5, 0.95):
-            assert calibrate_similarity_threshold(labeled_line(rows), LINE, percentile) == 1.0
+            assert calibrate_similarity_threshold(sorted_pairs(labeled_line(rows), LINE), percentile) == 1.0
 
     def test_two_rows_any_percentile_returns_their_similarity(self):
         data = labeled_line([(0.0, 1), (0.25, -1)])
         expected = 1.0 - 0.25
         for percentile in (0.0, 0.5, 0.95, 1.0):
-            assert calibrate_similarity_threshold(data, LINE, percentile) == expected
+            assert calibrate_similarity_threshold(sorted_pairs(data, LINE), percentile) == expected
 
     def test_default_percentile_is_95(self):
         rng = np.random.default_rng(0)
         _, labeled, _, ranges = random_instance(rng, n_labeled=8, n_unlabeled=1)
-        assert calibrate_similarity_threshold(labeled, ranges) == calibrate_similarity_threshold(
-            labeled, ranges, 0.95
+        assert calibrate_similarity_threshold(sorted_pairs(labeled, ranges)) == calibrate_similarity_threshold(
+            sorted_pairs(labeled, ranges), 0.95
         )
 
     def test_matches_hand_indexed_sorted_pairwise_list(self):
@@ -128,15 +134,15 @@ class TestCalibrateSimilarityThreshold:
         pairs.sort()
         for percentile in (0.1, 0.5, 0.9, 0.95):
             index = min(max(math.ceil(percentile * len(pairs)) - 1, 0), len(pairs) - 1)
-            assert calibrate_similarity_threshold(labeled, ranges, percentile) == pairs[index]
+            assert calibrate_similarity_threshold(sorted_pairs(labeled, ranges), percentile) == pairs[index]
 
     def test_needs_two_rows(self):
         with pytest.raises(MatcherError, match="at least 2"):
-            calibrate_similarity_threshold(labeled_line([(0.0, 1)]), LINE)
+            calibrate(labeled_line([(0.0, 1)]), unlabeled_line([0.5]), LINE)
 
     def test_distribution_diagnostic(self):
         data = labeled_line([(0.0, 1), (0.5, -1), (1.0, 1)])
-        dist = labeled_similarity_distribution(data, LINE)
+        dist = labeled_similarity_distribution(sorted_pairs(data, LINE))
         assert dist["pairs"] == 3
         assert dist["min"] == 0.0 and dist["max"] == 0.5
 
@@ -148,7 +154,7 @@ class TestCalibrateConfidenceThreshold:
         labeled = labeled_line([(0.0, 1), (1.0, -1)])
         positions = [i / 250 for i in range(1, 101)]  # distinct |t| = 1 - 2i/250
         unlabeled = unlabeled_line(positions)
-        c = calibrate_confidence_threshold(labeled, unlabeled, LINE, d=0.0, target_fraction=0.05)
+        c = calibrate_confidence_threshold(unlabeled_votes(unlabeled, labeled, LINE, 0.0), target_fraction=0.05)
 
         votes = [abs(t) for t in unlabeled_votes(unlabeled, labeled, LINE, 0.0)]
         expected = sorted(votes, reverse=True)[4]  # 5th largest keeps 4 strictly above
@@ -168,20 +174,26 @@ class TestCalibrateConfidenceThreshold:
     def test_no_defined_votes_returns_one(self):
         labeled = labeled_line([(0.0, 1), (0.1, -1)])
         unlabeled = unlabeled_line([0.9, 0.95])  # nothing within d
-        assert calibrate_confidence_threshold(labeled, unlabeled, LINE, d=0.5) == 1.0
+        assert calibrate_confidence_threshold(unlabeled_votes(unlabeled, labeled, LINE, 0.5)) == 1.0
 
     def test_zero_budget_returns_one(self):
         labeled = labeled_line([(0.0, 1), (1.0, -1)])
         unlabeled = unlabeled_line([0.1, 0.2])
         assert (
-            calibrate_confidence_threshold(labeled, unlabeled, LINE, d=0.0, target_fraction=0.0)
+            calibrate_confidence_threshold(unlabeled_votes(unlabeled, labeled, LINE, 0.0), target_fraction=0.0)
             == 1.0
         )
 
     def test_empty_unlabeled_rejected(self):
         labeled = labeled_line([(0.0, 1), (1.0, -1)])
         with pytest.raises(MatcherError, match="non-empty"):
-            calibrate_confidence_threshold(labeled, Dataset(SCHEMA_1D, []), LINE, d=0.5)
+            calibrate_confidence_threshold(unlabeled_votes(Dataset(SCHEMA_1D, []), labeled, LINE, 0.5))
+
+    def test_calibrate_refuses_empty_unlabeled_even_with_both_thresholds_given(self):
+        # no rule runs then, and the matched fraction would divide by zero
+        labeled = labeled_line([(0.0, 1), (1.0, -1)])
+        with pytest.raises(MatcherError, match="non-empty"):
+            calibrate(labeled, Dataset(SCHEMA_1D, []), LINE, d=0.5, c=0.5)
 
     def test_budget_respected_on_random_instances(self):
         rng = np.random.default_rng(7)
@@ -189,11 +201,43 @@ class TestCalibrateConfidenceThreshold:
             _, labeled, unlabeled, ranges = random_instance(
                 rng, n_labeled=12, n_unlabeled=40, missing_rate=0.0
             )
-            d = calibrate_similarity_threshold(labeled, ranges, 0.8)
-            c = calibrate_confidence_threshold(labeled, unlabeled, ranges, d, 0.1)
+            d = calibrate_similarity_threshold(sorted_pairs(labeled, ranges), 0.8)
             votes = unlabeled_votes(unlabeled, labeled, ranges, d)
+            c = calibrate_confidence_threshold(votes, 0.1)
             assigned = sum(1 for t in votes.tolist() if not math.isnan(t) and abs(t) > c)
             assert assigned / len(unlabeled.rows) < 0.1
+
+
+# a few repeated values make ties likely; NaN is an undefined vote
+VOTE = st.sampled_from([math.nan, 0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0, -1.0]) | st.floats(-1.0, 1.0)
+UNIT = st.sampled_from([0.0, 0.05, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+class TestCalibrationRulesOverArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(VOTE, min_size=1, max_size=30), UNIT)
+    @example([0.5, -0.5, 0.25, math.nan], 0.5)  # a tie at c
+    @example([0.0, -0.0, math.nan], 1.0)
+    @example([math.nan, math.nan], 1.0)
+    @example([-1.0, 1.0, 0.3], 0.0)
+    def test_c_is_the_smallest_observed_magnitude_under_budget(self, votes, fraction):
+        magnitudes = [abs(t) for t in votes if not math.isnan(t)]
+        under = [m for m in magnitudes if sum(other > m for other in magnitudes) / len(votes) < fraction]
+        c = calibrate_confidence_threshold(np.array(votes), fraction)
+        assert type(c) is float
+        assert c == (min(under) if under else 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0), min_size=1, max_size=30), UNIT)
+    @example([0.75], 0.95)  # a single pair
+    @example([0.5, 0.75, 0.75, 0.75, 1.0], 0.5)  # a tie at d
+    @example([0.5, 0.5], 0.0)
+    def test_d_is_the_value_at_the_nearest_rank_index(self, sims, percentile):
+        ordered = sorted(sims)
+        index = min(max(math.ceil(percentile * len(ordered)) - 1, 0), len(ordered) - 1)
+        d = calibrate_similarity_threshold(np.sort(np.array(sims)), percentile)
+        assert type(d) is float
+        assert d == ordered[index]
 
 
 class TestEstimateLabel:
@@ -323,7 +367,7 @@ class TestMatchBatch:
             for name in ("votes", "estimates", "matched", "imputed", "top_sims"):
                 assert np.array_equal(getattr(matches, name), getattr(default[0], name), equal_nan=True), name
             assert np.array_equal(votes, default[1], equal_nan=True)
-            assert pairs == default[2]
+            assert np.array_equal(pairs, default[2])
             monkeypatch.undo()
 
     def test_schema_mismatch_rejected(self):

@@ -15,10 +15,10 @@ from simlabel.cli import main
 
 # the public API; a name dropped from the package's table fails here
 PUBLIC = {
-    "Dataset", "EvalReport", "FeatureSchema", "LinearModel", "Matches", "McNemarResult",
+    "Calibration", "Dataset", "EvalReport", "FeatureSchema", "LinearModel", "Matches", "McNemarResult",
     "ProbeGrid", "RangeTable", "RecourseReport", "Role", "Sample", "ScoreFile", "Shell",
     "SimilarityParams", "SimlabelError", "TrainConfig", "auc_roc", "build_similar_dataset",
-    "calibrate_confidence_threshold", "calibrate_similarity_threshold", "compute_ranges",
+    "calibrate", "compute_ranges",
     "evaluate_table", "gower_similarity", "load_dataset", "load_external_scores",
     "load_schema", "match_batch", "mcnemar_test", "merge_datasets", "predict_scores",
     "probability_grid", "recourse_probe", "score_shell", "similarity_shell", "time_holdout_split",
