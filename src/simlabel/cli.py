@@ -9,9 +9,9 @@ on stderr; `--help` exits 0.
 
 Every setting is a row of OPTIONS: its config key, its flag, the commands
 that accept the flag, its type and its default. A flag beats the environment
-variable (SIMLABEL_OUT_DIR, SIMLABEL_WORKERS), which beats the config file,
-which beats the default. Paths in the config file are relative to it; paths
-given by flag or environment are relative to the working directory.
+variable (SIMLABEL_OUT_DIR), which beats the config file, which beats the
+default. Paths in the config file are relative to it; paths given by flag or
+environment are relative to the working directory.
 
 Each command imports the library modules it computes with, so `split`,
 `report` and `--help` never load numpy.
@@ -69,9 +69,9 @@ OPTIONS = (
     Option(None, "unlabeled", None, "path"),
     Option(None, "out_dir", "--out-dir", "path", env="SIMLABEL_OUT_DIR",
            help="output directory override"),
-    Option(None, None, "--workers", "int", 1, env="SIMLABEL_WORKERS",
+    Option(None, None, "--workers", "int", 1,
            help="accepted for compatibility; changes neither output nor speed"),
-    Option(None, "seed", "--seed", "int", 0, help="seed override"),
+    Option(None, "seed", "--seed", "int", 0, ("probe-shell",), help="seed override"),
     Option("split", "test_fraction", "--test-fraction", "unit", 0.2, ("split",)),
     Option("calibrate", "percentile", "--percentile", "unit", 0.95, ("calibrate",)),
     Option("calibrate", "confidence_budget", "--budget", "unit", 0.05, ("calibrate",),
@@ -329,7 +329,7 @@ def cmd_augment(run: Run) -> str:
 
 def cmd_train(run: Run) -> str:
     from . import model as model_mod
-    settings = {name: run[name] for name in ("l1", "l2", "max_iter", "tol", "seed")}
+    settings = {name: run[name] for name in ("l1", "l2", "max_iter", "tol")}
     parts = []
     for kind, data_name in (("plain", "train.csv"), ("augmented", "augmented_train.csv")):
         data = run.dataset(data_name) if kind == "plain" else run.optional(data_name)

@@ -141,6 +141,27 @@ def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Ca
         raise error(f"{what} {path}: {err}") from err
 
 
+def json_number(value, what: str) -> float:
+    """A number in a JSON artifact: an int or a float, never a bool or a string.
+
+    Raises TypeError or ValueError, which each `build` for `read_json` turns
+    into its own error; JSON's true is not the number 1.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as err:  # an integer past the float range
+        raise ValueError(f"{what} is out of range: {value}") from err
+
+
+def json_count(value, what: str) -> int:
+    """A count in a JSON artifact: a whole number >= 0; a fraction is refused, not truncated."""
+    if not (json_number(value, what).is_integer() and value >= 0):
+        raise ValueError(f"{what} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The CSV artifact format: one header row, then the rows, each ending in "\\n".
 

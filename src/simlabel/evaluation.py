@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dataset import Dataset, read_json, write_json
+from .dataset import Dataset, json_count, json_number, read_json, write_json
 from .errors import EvalError
 
 if TYPE_CHECKING:  # annotations only: model imports numpy, which `report` never needs
@@ -27,6 +27,14 @@ EXACT_VARIANT = "exact-binomial"
 CHI_SQUARE_VARIANT = "chi-square"
 DISCORDANT_SWITCHOVER = 25
 P_VALUE_NOTE = "raw two-sided p-values; no multiple-comparison adjustment"
+
+
+def _report_number(value, what: str, unit: bool = True) -> float:
+    """A number an evaluation report holds: in [0, 1], or if not `unit`, finite and >= 0."""
+    number = json_number(value, what)
+    if not (0.0 <= number <= 1.0 if unit else 0.0 <= number < math.inf):
+        raise ValueError(f"{what} must be {'in [0, 1]' if unit else 'finite and >= 0'}, got {value!r}")
+    return number
 
 
 def classify(score: float, class_threshold: float = 0.5) -> int:
@@ -179,7 +187,7 @@ class EvalReport:
             models = tuple(payload["models"])
             testsets = tuple(payload["testsets"])
             auc = {
-                (model, ts): float(payload["auc"][model][ts])
+                (model, ts): _report_number(payload["auc"][model][ts], f"AUC of ({model!r}, {ts!r})")
                 for model in models
                 for ts in testsets
             }
@@ -189,29 +197,36 @@ class EvalReport:
                     model_a=entry["model_a"],
                     model_b=entry["model_b"],
                     result=McNemarResult(
-                        b=int(entry["b"]),
-                        c=int(entry["c"]),
-                        statistic=None if entry["statistic"] is None else float(entry["statistic"]),
-                        p_value=float(entry["p_value"]),
+                        b=json_count(entry["b"], "McNemar b"),
+                        c=json_count(entry["c"], "McNemar c"),
+                        statistic=(None if entry["statistic"] is None
+                                   else _report_number(entry["statistic"], "McNemar statistic", unit=False)),
+                        p_value=_report_number(entry["p_value"], "McNemar p_value"),
                         variant=entry["variant"],
                     ),
                 )
                 for entry in payload["mcnemar"]
             )
             metadata = dict(payload.get("metadata", {}))
+            if "class_threshold" in metadata:
+                _report_number(metadata["class_threshold"], "class_threshold")
         except (KeyError, TypeError, ValueError) as err:
             raise EvalError(f"malformed evaluation report payload: {err}") from err
         if not models or not testsets:
             raise EvalError("evaluation report payload names no models or no test sets")
         variants = (EXACT_VARIANT, CHI_SQUARE_VARIANT)
-        bad = [comp.result.variant for comp in comparisons if comp.result.variant not in variants]
-        if bad:
-            raise EvalError(f"McNemar variant must be one of {variants}, got {bad[0]!r}")
+        for comp in comparisons:
+            if comp.testset not in testsets or comp.model_a not in models or comp.model_b not in models:
+                raise EvalError(f"McNemar entry [{comp.testset!r}] {comp.model_a!r} vs {comp.model_b!r} "
+                                "must name a listed test set and two listed models")
+            if comp.result.variant not in variants:
+                raise EvalError(f"McNemar variant must be one of {variants}, got {comp.result.variant!r}")
         deltas = metadata.get("augmented_vs_plain_auc_delta", {})
-        if not isinstance(deltas, dict) or not all(
-            isinstance(row, dict) and all(type(v) in (int, float) and math.isfinite(v) for v in row.values())
-            for row in deltas.values()
-        ):
+        try:
+            finite = all(math.isfinite(json_number(v, "delta")) for row in deltas.values() for v in row.values())
+        except (AttributeError, TypeError, ValueError):
+            finite = False
+        if not finite:
             raise EvalError("augmented_vs_plain_auc_delta must map models to objects of finite numbers")
         return cls(models, testsets, auc, comparisons, metadata)
 

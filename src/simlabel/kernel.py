@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema, Sample, feature_matrix, read_json, write_json
+from .dataset import Dataset, FeatureSchema, Sample, feature_matrix, json_number, read_json, write_json
 from .errors import KernelError
 
 
@@ -58,8 +58,9 @@ class RangeTable:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RangeTable":
         try:
-            ranges = {str(k): float(v) for k, v in payload["ranges"].items()}
-            bounds = {str(k): (float(v[0]), float(v[1])) for k, v in payload["bounds"].items()}
+            ranges = {str(k): json_number(v, f"range of {k!r}") for k, v in payload["ranges"].items()}
+            bounds = {str(k): (json_number(v[0], f"bounds of {k!r}"), json_number(v[1], f"bounds of {k!r}"))
+                      for k, v in payload["bounds"].items()}
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as err:
             raise KernelError(f"malformed range table payload: {err}") from err
         return cls(ranges=ranges, bounds=bounds, source=str(payload.get("source", "")))

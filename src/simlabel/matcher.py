@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, csv_text, feature_matrix, read_csv, read_json, write_json
+from .dataset import Dataset, Sample, csv_text, feature_matrix, json_number, read_csv, read_json, write_json
 from .errors import KernelError, MatcherError
 from .kernel import RangeTable, similarity_block
 
@@ -55,8 +55,8 @@ class SimilarityParams:
     def from_json_dict(cls, payload: dict) -> "SimilarityParams":
         try:
             return cls(
-                d=float(payload["d"]),
-                c=float(payload["c"]),
+                d=json_number(payload["d"], "d"),
+                c=json_number(payload["c"], "c"),
                 provenance=str(payload.get("provenance", "")),
             )
         except (KeyError, TypeError, ValueError) as err:

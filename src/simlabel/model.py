@@ -21,19 +21,18 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Dataset, Sample, atomic_write_text, csv_text, feature_matrix, read_csv
-from .dataset import read_json, write_json
+from .dataset import json_count, json_number, read_json, write_json
 from .errors import ModelError
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Regularization strengths, iteration budget, stopping tolerance, and seed."""
+    """Regularization strengths, iteration budget and stopping tolerance."""
 
     l1: float = 0.0
     l2: float = 0.0
     max_iter: int = 500
     tol: float = 1e-8
-    seed: int = 0
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.l1, self.l2, self.tol)):
@@ -62,7 +61,6 @@ class LinearModel:
     l2: float
     feature_means: dict[str, float]
     feature_scales: dict[str, float]
-    seed: int
     stop_reason: str = ""
     n_iter: int = 0
     loss_history: tuple[float, ...] = field(default=(), compare=False, repr=False)
@@ -99,7 +97,6 @@ class LinearModel:
             "l2": self.l2,
             "feature_means": dict(self.feature_means),
             "feature_scales": dict(self.feature_scales),
-            "seed": self.seed,
             "stop_reason": self.stop_reason,
             "n_iter": self.n_iter,
             "final_loss": self.loss_history[-1] if self.loss_history else None,
@@ -108,17 +105,19 @@ class LinearModel:
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearModel":
         """The model a payload describes: means and scales name the weights' features, all finite, scales > 0."""
+        def numbers(key: str, what: str) -> dict[str, float]:
+            return {str(k): json_number(v, f"{what} of {k!r}") for k, v in payload[key].items()}
+
         try:
             model = cls(
-                weights={str(k): float(v) for k, v in payload["weights"].items()},
-                intercept=float(payload["intercept"]),
-                l1=float(payload["l1"]),
-                l2=float(payload["l2"]),
-                feature_means={str(k): float(v) for k, v in payload["feature_means"].items()},
-                feature_scales={str(k): float(v) for k, v in payload["feature_scales"].items()},
-                seed=int(payload["seed"]),
+                weights=numbers("weights", "weight"),
+                intercept=json_number(payload["intercept"], "intercept"),
+                l1=json_number(payload["l1"], "l1"),
+                l2=json_number(payload["l2"], "l2"),
+                feature_means=numbers("feature_means", "mean"),
+                feature_scales=numbers("feature_scales", "scale"),
                 stop_reason=str(payload.get("stop_reason", "")),
-                n_iter=int(payload.get("n_iter", 0)),
+                n_iter=json_count(payload.get("n_iter", 0), "n_iter"),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise ModelError(f"malformed model payload: {err}") from err
@@ -178,10 +177,6 @@ def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
-def _full_objective(w: np.ndarray, b: float, z: np.ndarray, y: np.ndarray, l1: float, l2: float) -> float:
-    return smooth_loss(w, b, z, y, l2) + l1 * float(np.sum(np.abs(w)))
-
-
 def train_logistic(
     train: Dataset,
     features: Sequence[str] | None = None,
@@ -189,11 +184,10 @@ def train_logistic(
 ) -> LinearModel:
     """Fit logistic regression by proximal gradient descent with backtracking.
 
-    Weights start at zero (which also makes the recorded seed inert; it is
-    kept for provenance). Each accepted step satisfies the quadratic upper
-    bound condition, so the full objective is non-increasing across accepted
-    iterates. Stops at the gradient-map tolerance or the iteration budget,
-    and records which one fired.
+    Weights start at zero, so training draws nothing at random. Each accepted
+    step satisfies the quadratic upper bound condition, so the full objective
+    is non-increasing across accepted iterates. Stops at the gradient-map
+    tolerance or the iteration budget, and records which one fired.
     """
     schema = train.schema
     if features is None:
@@ -250,13 +244,11 @@ def train_logistic(
     w = np.zeros(len(kept), dtype=np.float64)
     b = 0.0
     eta = 1.0
-    losses = [_full_objective(w, b, z, y, config.l1, config.l2)]
+    losses = [smooth_loss(w, b, z, y, config.l2)]  # the l1 term is 0 at w = 0
     stop_reason = "iteration-budget"
-    n_iter = 0
 
-    for iteration in range(config.max_iter):
+    for _ in range(config.max_iter):
         g_val, grad_w, grad_b = smooth_loss_grad(w, b, z, y, config.l2)
-        accepted = False
         while eta >= 1e-20:
             w_new = _soft_threshold(w - eta * grad_w, eta * config.l1)
             b_new = b - eta * grad_b
@@ -266,16 +258,14 @@ def train_logistic(
             bound = g_val + float(grad_w @ dw) + grad_b * db + (float(dw @ dw) + db * db) / (2.0 * eta)
             objective = g_new + config.l1 * float(np.sum(np.abs(w_new)))
             if g_new <= bound and objective <= losses[-1]:
-                accepted = True
                 break
             eta *= 0.5
-        if not accepted:
+        else:
             stop_reason = "tolerance"  # step underflow: no descent left at float precision
             break
         step_norm = math.sqrt(float(dw @ dw) + db * db)
         w, b = w_new, b_new
         losses.append(objective)
-        n_iter = iteration + 1
         if step_norm / eta <= config.tol:
             stop_reason = "tolerance"
             break
@@ -288,9 +278,8 @@ def train_logistic(
         l2=config.l2,
         feature_means=means,
         feature_scales=scales,
-        seed=config.seed,
         stop_reason=stop_reason,
-        n_iter=n_iter,
+        n_iter=len(losses) - 1,
         loss_history=tuple(losses),
     )
 

@@ -379,7 +379,6 @@ def test_probe_contracts():
         l2=0.0,
         feature_means={"f0": 0.0, "f1": 0.0, "f2": 0.0},
         feature_scales={"f0": 1.0, "f1": 1.0, "f2": 1.0},
-        seed=0,
     )
 
     for d in (0.8, 0.92, 0.99):

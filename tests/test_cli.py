@@ -383,10 +383,33 @@ class TestCliRobustness:
                                                   for row in p["metadata"]["augmented_vs_plain_auc_delta"].values()],
          "augmented_vs_plain_auc_delta"),
         ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(variant=["x"]), "variant"),
+        ("eval_report.json", "report", lambda p: [row.update(dict.fromkeys(row, 10**400))
+                                                  for row in p["metadata"]["augmented_vs_plain_auc_delta"].values()],
+         "augmented_vs_plain_auc_delta"),
+        ("eval_report.json", "report", lambda p: p["auc"]["logistic regression"].update(real="nan"), "'nan'"),
+        ("eval_report.json", "report", lambda p: p["auc"]["logistic regression"].update(real=1.5), "AUC"),
+        ("eval_report.json", "report", lambda p: p["metadata"].update(class_threshold=[1]), "class_threshold"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(b=7.9), "McNemar b"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(c=-1), "McNemar c"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(statistic=-1.0), "statistic"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(p_value=2.5), "p_value"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(testset="nowhere"), "'nowhere'"),
+        ("eval_report.json", "report", lambda p: p["mcnemar"][0].update(model_a=7), "listed models"),
+        # JSON's true and a number in a string are not numbers in any artifact
+        ("params.json", "match", lambda p: p.update(c=True), "c must be a number"),
+        ("ranges.json", "calibrate", lambda p: p["ranges"].update(f0=True), "'f0'"),
+        ("model_plain.json", "score", lambda p: p.update(intercept=True), "intercept"),
+        ("model_plain.json", "probe-grid", lambda p: p["weights"].update(f0="0.5"), "'f0'"),
+        ("model_plain.json", "score", lambda p: p.update(n_iter=2.5), "n_iter"),
+        ("model_plain.json", "score", lambda p: p["weights"].update(f0=10**400), "'f0'"),
+        ("eval_report.json", "report", lambda p: p["auc"]["logistic regression"].update(real=True), "AUC"),
     ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models",
             "range-table-lacks-a-feature", "range-table-extra-feature", "range-table-out-of-order",
             "nan-weight", "zero-scale", "infinite-mean", "infinite-intercept", "missing-mean", "missing-scale",
-            "number-for-delta-table", "string-delta", "list-variant"])
+            "number-for-delta-table", "string-delta", "list-variant", "huge-int-delta", "string-auc", "auc-above-one",
+            "list-threshold", "fractional-b", "negative-c", "negative-statistic", "p-value-above-one",
+            "unlisted-testset", "unlisted-model", "bool-c", "bool-range", "bool-intercept", "string-weight",
+            "fractional-n-iter", "huge-int-weight", "bool-auc"])
     def test_misshapen_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command, edit, named):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step in PIPELINE[:-1]:
@@ -438,12 +461,6 @@ class TestCliRobustness:
         assert main(["split", "--config", str(fx["config"])]) == 1
         message = one_error_line(capsys)["message"]
         assert "row 3:" in message and "offset-aware, unlike row 1's" in message
-
-    def test_bad_workers_env_var_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
-        monkeypatch.setenv("SIMLABEL_WORKERS", "x")
-        assert main(["split", "--config", str(fx["config"])]) == 1
-        assert "SIMLABEL_WORKERS" in one_error_line(capsys)["message"]
 
     # a number that is not whole, or that overflows a float, in the config file or on a flag
     @pytest.mark.parametrize("command, key, section, raw, flags", [
@@ -593,7 +610,7 @@ def test_flag_beats_config_beats_default(tmp_path, monkeypatch, option):
 
 # a usage error, or a flag value its kind's parser refuses: one JSON line, exit 1
 @pytest.mark.parametrize("argv, message", [
-    (["split", "--config", "{config}", "--seed", "2.5"], "seed must be an integer, got '2.5' from --seed"),
+    (["probe-shell", "--config", "{config}", "--seed", "2.5"], "seed must be an integer, got '2.5' from --seed"),
     (["split", "--config", "{config}", "--workers", "two"], "workers must be an integer, got 'two'"),
     (["split", "--config", "{config}", "--test-fraction", "x"], "test_fraction must be a number in [0, 1]"),
     (["probe-grid", "--config", "{config}", "--x", "0", "1"], "argument --x: expected 3 arguments"),
@@ -626,3 +643,32 @@ def test_probe_shell_takes_a_seed_past_64_bits(tmp_path):
     assert main(["probe-shell", "--config", str(fx["config"]), "--sample-id", "l0000",
                  "--seed", str(2**64), "--count", "20"]) == 0
     assert len((fx["out"] / "shell_l0000.csv").read_text().splitlines()) == 21
+
+
+def test_config_seed_reaches_only_the_shell(tmp_path):
+    fx = write_pipeline_fixture(tmp_path)
+    outputs = {}
+    for seed in (7, 8):
+        fx["config"].write_text(json.dumps({**json.loads(fx["config"].read_text()), "seed": seed}))
+        out = tmp_path / f"out{seed}"
+        for command in (*PIPELINE, "probe-grid", "probe-shell"):
+            assert main([command, "--config", str(fx["config"]), "--out-dir", str(out)]) == 0, command
+        outputs[seed] = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert outputs[7].keys() == outputs[8].keys()
+    assert {"shell_l0000.csv", "recourse_l0000.json", "model_augmented.json"} <= outputs[7].keys()
+    shell_files = {name for name in outputs[7] if name.startswith(("shell_", "recourse_"))}
+    assert {name for name in outputs[7] if outputs[7][name] != outputs[8][name]} <= shell_files
+    assert outputs[7]["shell_l0000.csv"] != outputs[8]["shell_l0000.csv"]
+    assert json.loads(outputs[7]["recourse_l0000.json"])["run_config"]["seed"] == 7
+    for name in ("model_plain.json", "model_augmented.json"):
+        payload = json.loads(outputs[8][name])
+        assert "seed" not in payload and "seed" not in payload["run_config"]
+
+
+@pytest.mark.parametrize("command", (*PIPELINE, "probe-grid"))
+def test_seed_flag_is_a_usage_error_outside_probe_shell(tmp_path, capsys, command):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    assert main([command, "--config", str(fx["config"]), "--seed", "1"]) == 1
+    error = one_error_line(capsys)
+    assert error["command"] == command
+    assert "unrecognized arguments: --seed 1" in error["message"]

@@ -117,7 +117,7 @@ class TestTrainLogistic:
     def test_training_is_bit_deterministic(self):
         rng = np.random.default_rng(35)
         data = noisy_dataset(rng)
-        config = TrainConfig(l1=0.01, l2=0.1, max_iter=120, seed=9)
+        config = TrainConfig(l1=0.01, l2=0.1, max_iter=120)
         first = train_logistic(data, config=config)
         second = train_logistic(data, config=config)
         assert first.weights == second.weights
@@ -195,7 +195,6 @@ class TestPredictScores:
             l2=0.0,
             feature_means={"f0": 0.0},
             feature_scales={"f0": 1.0},
-            seed=0,
         )
         data = Dataset(SCHEMA, [make_sample("a", {"f0": 5.0, "f1": 0.0})])
         assert predict_scores(model, data).rows[0][1] == 0.5
@@ -208,7 +207,6 @@ class TestPredictScores:
             l2=0.0,
             feature_means={"f0": 7.0},
             feature_scales={"f0": 2.0},
-            seed=0,
         )
         data = Dataset(SCHEMA, [make_sample("a", {"f0": 7.0, "f1": 0.0})])
         assert predict_scores(model, data).rows[0][1] == 0.5
@@ -221,7 +219,6 @@ class TestPredictScores:
             l2=0.0,
             feature_means={"f0": 1.0, "f1": -2.0},
             feature_scales={"f0": 0.5, "f1": 4.0},
-            seed=0,
         )
         data = Dataset(SCHEMA, [make_sample("a", {"f0": 1.7, "f1": 0.4})])
         z0 = (1.7 - 1.0) / 0.5
@@ -238,7 +235,6 @@ class TestPredictScores:
             l2=0.0,
             feature_means={"f0": 3.0},
             feature_scales={"f0": 1.5},
-            seed=0,
         )
         data = Dataset(SCHEMA, [make_sample("a", {"f1": 9.0})])  # f0 missing
         assert predict_scores(model, data).rows[0][1] == 0.5
@@ -262,6 +258,16 @@ class TestPredictScores:
         assert original == recovered
         payload = json.loads(path.read_text())
         assert payload["stop_reason"] in ("tolerance", "iteration-budget")
+
+    def test_model_file_with_a_seed_key_still_loads(self):
+        rng = np.random.default_rng(39)
+        data = noisy_dataset(rng)
+        payload = train_logistic(data, config=TrainConfig(l2=0.1, max_iter=50)).to_json_dict()
+        assert "seed" not in payload
+        with_seed = LinearModel.from_json_dict({**payload, "seed": 0})
+        without_seed = LinearModel.from_json_dict(payload)
+        assert with_seed == without_seed
+        assert predict_scores(with_seed, data) == predict_scores(without_seed, data)
 
 
 class TestScoreFiles:

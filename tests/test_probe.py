@@ -41,7 +41,6 @@ def linear_model(w0=1.0, w1=-1.0, w2=0.5, intercept=0.0):
         l2=0.0,
         feature_means={"f0": 0.0, "f1": 0.0, "f2": 0.0},
         feature_scales={"f0": 1.0, "f1": 1.0, "f2": 1.0},
-        seed=0,
     )
 
 
@@ -108,7 +107,6 @@ class TestProbabilityGrid:
             l2=0.0,
             feature_means={f: data.draw(number) for f in features},
             feature_scales={f: data.draw(st.floats(0.1, 3.0)) for f in features},
-            seed=0,
         )
         base = make_sample("b", {f: data.draw(number) for f in ("f3", "f1", "f0", "f2", "extra")})
         fx, fy = data.draw(st.permutations(features))[:2]
@@ -268,7 +266,7 @@ class TestScoreShell:
         model = LinearModel(
             weights={"f0": 1.0, "f1": -1.0, "f2": 2.0}, intercept=0.1, l1=0.0, l2=0.0,
             feature_means={"f0": 0.0, "f1": 0.0, "f2": 0.75},
-            feature_scales={"f0": 1.0, "f1": 1.0, "f2": 1.0}, seed=0,
+            feature_scales={"f0": 1.0, "f1": 1.0, "f2": 1.0},
         )
         partial = make_sample("partial", {"f0": 0.5, "f1": -0.5})
         shell = similarity_shell(partial, ["f0"], RANGES, d=0.9, n=20, seed=71)
@@ -531,7 +529,6 @@ def linear_problem(draw):
         l2=0.0,
         feature_means={f: draw(number) for f in in_model},
         feature_scales={f: draw(st.floats(0.2, 3.0)) for f in in_model},
-        seed=0,
     )
     vary = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
     return model, base, vary, ranges
