@@ -57,11 +57,15 @@ class RangeTable:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "RangeTable":
+        def bound_pair(name, value) -> tuple[float, float]:
+            if not isinstance(value, list) or len(value) != 2:
+                raise ValueError(f"bounds of {name!r} must be a list of two numbers, got {value!r}")
+            return json_number(value[0], f"bounds of {name!r}"), json_number(value[1], f"bounds of {name!r}")
+
         try:
             ranges = {str(k): json_number(v, f"range of {k!r}") for k, v in payload["ranges"].items()}
-            bounds = {str(k): (json_number(v[0], f"bounds of {k!r}"), json_number(v[1], f"bounds of {k!r}"))
-                      for k, v in payload["bounds"].items()}
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as err:
+            bounds = {str(k): bound_pair(k, v) for k, v in payload["bounds"].items()}
+        except (AttributeError, KeyError, TypeError, ValueError) as err:
             raise KernelError(f"malformed range table payload: {err}") from err
         return cls(ranges=ranges, bounds=bounds, source=str(payload.get("source", "")))
 
@@ -156,14 +160,33 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     """Gower similarity of every left row to every right row, shape (len(left), len(right)).
 
     `left` and `right` are feature matrices whose columns follow the range
-    table's feature order (`dataset.feature_matrix`), NaN marking a missing
-    cell. Features are added one at a time in that order with the same float
-    operations as gower_similarity, so every entry equals gower_similarity of
-    the two rows exactly. A pair that shares no feature is NaN, where
-    gower_similarity raises.
+    table's feature order (`dataset.feature_matrix`), each cell finite or NaN
+    for missing (`load_dataset` refuses infinite cells). Scores are added one
+    feature at a time in that order with the same float operations as
+    gower_similarity, so every entry equals gower_similarity of the two rows
+    exactly. A pair that shares no feature is NaN, where gower_similarity
+    raises.
+
+    The divisor, the number of features both rows carry, comes from the two
+    missing-cell masks once per block: K minus each row's missing count, plus
+    one for every feature missing on both sides. It is a whole number, so
+    this order of additions is exact. A missing cell makes |a - b| NaN, which
+    `fmin` turns into a score of exactly 0 for a finite spread; the sum gains
+    0.0, as if the feature were skipped. An infinite spread keeps an explicit
+    mask instead, because there an overflowed |a - b| gives inf / inf = NaN,
+    which gower_similarity keeps and `fmin` would hide. Each score goes
+    through one reused buffer. Nothing runs through BLAS (`@`, `dot`,
+    `einsum`): a threaded BLAS call on these small shapes can cost far more
+    than the elementwise passes it would replace.
     """
-    total = np.zeros((len(left), len(right)))
-    count = np.zeros((len(left), len(right)))
+    missing_left, missing_right = np.isnan(left), np.isnan(right)
+    count = ((len(ranges.ranges) - np.count_nonzero(missing_left, axis=1))[:, None]
+             - np.count_nonzero(missing_right, axis=1).astype(np.float64))
+    for k in np.flatnonzero(missing_left.any(axis=0) & missing_right.any(axis=0)):
+        count += missing_left[:, k, None] & missing_right[None, :, k]
+    total = np.zeros(count.shape)
+    score = np.empty(count.shape)
+    equal = np.empty(count.shape, dtype=bool)
     # a spread below the float range overflows to inf and clamps to 1, as in
     # gower_similarity; a pair with no shared feature is 0 / 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -171,10 +194,14 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
             a = left[:, k, None]
             b = right[None, :, k]
             if spread == 0.0:
-                score = (a == b).astype(np.float64)
+                total += np.equal(a, b, out=equal)
+            elif np.isinf(spread):
+                present = ~np.isnan(a) & ~np.isnan(b)
+                total += np.where(present, 1.0 - np.minimum(np.abs(a - b) / spread, 1.0), 0.0)
             else:
-                score = 1.0 - np.minimum(np.abs(a - b) / spread, 1.0)
-            present = ~np.isnan(a) & ~np.isnan(b)
-            total += np.where(present, score, 0.0)
-            count += present
-        return total / count
+                np.subtract(a, b, out=score)
+                np.abs(score, out=score)
+                np.divide(score, spread, out=score)
+                np.fmin(score, 1.0, out=score)
+                total += np.subtract(1.0, score, out=score)
+        return np.divide(total, count, out=total)

@@ -12,6 +12,12 @@ from kernel.similarity_block in blocks of every labeled row against a run of
 unlabeled rows, at most BLOCK_PAIRS similarities a block. Votes and
 imputations add their terms in labeled-dataset order, so every result equals
 that of a per-pair loop bit for bit, whatever the block size.
+
+Each unlabeled row keeps its top contributors: the labeled rows of highest
+similarity, ties in labeled order. They are found without sorting every
+labeled row: np.partition gives the width-th largest similarity, the rows
+above it and the first rows equal to it fill the width, and only those are
+sorted, so the result is that of a full stable argsort.
 """
 
 from __future__ import annotations
@@ -112,9 +118,8 @@ def _blocks(
     for start in range(0, len(right), step):
         block = slice(start, start + step)
         sims = similarity_block(left, right[block], ranges)
-        missing = np.argwhere(np.isnan(sims.T))
-        if len(missing):
-            j, i = missing[0]
+        if np.isnan(sims).any():
+            j, i = np.argwhere(np.isnan(sims.T))[0]
             raise KernelError(f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r} "
                               "share no similarity feature values")
         yield block, sims
@@ -274,6 +279,31 @@ def calibrate(
     )
 
 
+def _top_rows(sims: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The `width` largest entries of each column of `sims`, ties in row order, as (columns, width) rows and values.
+
+    Exactly `np.argsort(-sims, axis=0, kind="stable")[:width]` without sorting
+    every row: np.partition finds each column's width-th largest value (the
+    cut) and the rows at or above it are kept. Where more rows tie at the cut
+    than fit, the rows above it are kept, then the first tied rows in row
+    order (a cumsum of the tie mask) until there are `width`. Only the kept
+    rows are then stable-sorted by descending value.
+    """
+    if len(sims) <= width:
+        order = np.argsort(-sims, axis=0, kind="stable").T
+        return order, np.take_along_axis(sims.T, order, axis=1)
+    cut = np.partition(sims, len(sims) - width, axis=0)[len(sims) - width]
+    keep = sims >= cut
+    crowded = np.flatnonzero(np.count_nonzero(keep, axis=0) > width)
+    part, at = sims[:, crowded], cut[crowded]
+    above, tied = part > at, part == at
+    keep[:, crowded] = above | tied & (np.cumsum(tied, axis=0) <= width - np.count_nonzero(above, axis=0))
+    rows = np.nonzero(keep.T)[1].reshape(-1, width)
+    values = np.take_along_axis(sims.T, rows, axis=1)
+    order = np.argsort(-values, axis=1, kind="stable")
+    return np.take_along_axis(rows, order, axis=1), np.take_along_axis(values, order, axis=1)
+
+
 def match_batch(
     unlabeled: Dataset,
     labeled: Dataset,
@@ -309,9 +339,7 @@ def match_batch(
         for g in range(len(estimation)):
             imputed[block.start + confident, g] = _weighted_means(
                 np.where(carried[:, g, None], weights[:, confident], 0.0), values[:, g, None])
-        order = np.argsort(-sims, axis=0, kind="stable")[:width]
-        top[block] = order.T
-        top_sims[block] = np.take_along_axis(sims, order, axis=0).T
+        top[block], top_sims[block] = _top_rows(sims, width)
     contributor = np.arange(width) < matched[:, None]
     return Matches(
         ids=unlabeled.ids(),

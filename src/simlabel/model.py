@@ -104,7 +104,10 @@ class LinearModel:
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "LinearModel":
-        """The model a payload describes: means and scales name the weights' features, all finite, scales > 0."""
+        """The model a payload describes.
+
+        Means and scales name the weights' features; every value is finite, scales > 0, l1 and l2 >= 0.
+        """
         def numbers(key: str, what: str) -> dict[str, float]:
             return {str(k): json_number(v, f"{what} of {k!r}") for k, v in payload[key].items()}
 
@@ -127,12 +130,14 @@ class LinearModel:
                 raise ModelError(f"model {what} must name exactly the weights' features: "
                                  f"missing {sorted(missing)}, extra {sorted(extra)}")
         bad = [] if math.isfinite(model.intercept) else [f"intercept {model.intercept}"]
+        # the strengths TrainConfig accepts
+        bad += [f"{what} {v}" for what, v in (("l1", model.l1), ("l2", model.l2)) if not 0.0 <= v < math.inf]
         named = (("weight", model.weights), ("mean", model.feature_means), ("scale", model.feature_scales))
         for what, values in named:
             bad += [f"{what} of {k!r} {v}" for k, v in values.items()
                     if not math.isfinite(v) or what == "scale" and v <= 0]
         if bad:
-            raise ModelError(f"model values must be finite and scales > 0, got {', '.join(bad)}")
+            raise ModelError(f"model values must be finite, l1 and l2 >= 0 and scales > 0, got {', '.join(bad)}")
         return model
 
 

@@ -403,13 +403,18 @@ class TestCliRobustness:
         ("model_plain.json", "score", lambda p: p.update(n_iter=2.5), "n_iter"),
         ("model_plain.json", "score", lambda p: p["weights"].update(f0=10**400), "'f0'"),
         ("eval_report.json", "report", lambda p: p["auc"]["logistic regression"].update(real=True), "AUC"),
+        ("ranges.json", "calibrate", lambda p: p["bounds"]["f0"].append(99), "'f0'"),
+        ("model_plain.json", "score", lambda p: p.update(l1=math.nan), "l1 nan"),
+        ("model_plain.json", "score", lambda p: p.update(l2=-3), "l2 -3"),
+        ("model_plain.json", "probe-grid", lambda p: p.update(l2=math.inf), "l2 inf"),
     ], ids=["ranges-list", "bounds-list", "nan-range", "nan-bound", "weights-list", "no-models",
             "range-table-lacks-a-feature", "range-table-extra-feature", "range-table-out-of-order",
             "nan-weight", "zero-scale", "infinite-mean", "infinite-intercept", "missing-mean", "missing-scale",
             "number-for-delta-table", "string-delta", "list-variant", "huge-int-delta", "string-auc", "auc-above-one",
             "list-threshold", "fractional-b", "negative-c", "negative-statistic", "p-value-above-one",
             "unlisted-testset", "unlisted-model", "bool-c", "bool-range", "bool-intercept", "string-weight",
-            "fractional-n-iter", "huge-int-weight", "bool-auc"])
+            "fractional-n-iter", "huge-int-weight", "bool-auc", "three-bounds", "nan-l1", "negative-l2",
+            "infinite-l2"])
     def test_misshapen_artifact_exits_cleanly(self, tmp_path, capsys, artifact, command, edit, named):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step in PIPELINE[:-1]:

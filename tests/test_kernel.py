@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
@@ -216,6 +216,28 @@ def rows_with_ranges(draw):
     return rows("a"), rows("b"), RangeTable(ranges=ranges, bounds=bounds)
 
 
+@st.composite
+def rows_with_extreme_ranges(draw):
+    """Two row sets and a range table over what rows_with_ranges never draws: subnormal, huge and
+    infinite spreads, cells of +-1e308 whose differences overflow, -0.0, and missing cells."""
+    names = [f"f{i}" for i in range(draw(st.integers(1, 4)))]
+    ranges = {name: draw(st.sampled_from([0.0, 5e-324, 1.0, 1e308, math.inf])) for name in names}
+    cell = st.none() | st.sampled_from([1e308, -1e308]) | st.sampled_from([0.0, -0.0, 5e-324, 1.0, -1.0])
+
+    def rows(prefix):
+        return [
+            make_sample(f"{prefix}{i}", {n: v for n in names if (v := draw(cell)) is not None})
+            for i in range(draw(st.integers(0, 4)))
+        ]
+
+    bounds = {name: (0.0, spread) for name, spread in ranges.items()}
+    return rows("a"), rows("b"), RangeTable(ranges=ranges, bounds=bounds)
+
+
+def bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
 class TestKernelProperties:
     @given(rows_with_ranges())
     @settings(max_examples=300, deadline=None)
@@ -233,6 +255,27 @@ class TestKernelProperties:
                 else:
                     assert block[i, j] == expected
 
+
+    # |1e308 - -1e308| overflows to inf, and inf / inf is NaN: the scalar kernel returns NaN there
+    @example(([make_sample("a0", {"f0": 1e308})], [make_sample("b0", {"f0": -1e308})],
+              RangeTable(ranges={"f0": math.inf}, bounds={"f0": (0.0, math.inf)})))
+    @given(rows_with_extreme_ranges())
+    @settings(max_examples=300, deadline=None)
+    def test_block_equals_scalar_kernel_bits_at_float_extremes(self, case):
+        left, right, ranges = case
+        names = ranges.features()
+        block = similarity_block(feature_matrix(left, names), feature_matrix(right, names), ranges)
+        assert block.shape == (len(left), len(right))
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                try:
+                    expected = gower_similarity(a, b, ranges)
+                except KernelError:
+                    expected = math.nan
+                if math.isnan(expected):
+                    assert math.isnan(block[i, j])
+                else:
+                    assert bits(block[i, j]) == bits(expected)
 
     @given(sample_pair_with_ranges())
     @settings(max_examples=150, deadline=None)

@@ -521,6 +521,29 @@ class TestMatcherProperties:
         assert ties_at_c >= 10
 
 
+@st.composite
+def tied_similarity_blocks(draw):
+    """A (labeled, unlabeled) block of 1 to 25 labeled rows on a coarse grid of values, so most columns tie
+    at their width-th value and some are entirely equal, with a width from 1 to 10."""
+    n_labeled, levels = draw(st.integers(1, 25)), draw(st.integers(1, 5))
+    value = st.integers(0, levels - 1)
+    column = st.lists(value, min_size=n_labeled, max_size=n_labeled) | value.map(lambda v: [v] * n_labeled)
+    columns = draw(st.lists(column, max_size=8))
+    sims = np.array(columns, dtype=np.float64).reshape(len(columns), n_labeled).T / levels
+    return sims, draw(st.integers(1, 10))
+
+
+class TestTopRows:
+    @given(tied_similarity_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_top_rows_equal_the_stable_argsort(self, case):
+        sims, width = case
+        rows, values = simlabel.matcher._top_rows(sims, width)
+        order = np.argsort(-sims, axis=0, kind="stable")[:width]
+        assert np.array_equal(rows, order.T)
+        assert np.array_equal(values, np.take_along_axis(sims, order, axis=0).T)
+
+
 IDS = st.text(max_size=4) | st.text(
     alphabet=st.sampled_from(['"', "\\", "\n", "\r", "\x00", "\x7f", "a", "é", "\u2028", "𝄞", ",", " "]), max_size=4)
 SIMILARITIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
