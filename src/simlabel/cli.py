@@ -218,7 +218,9 @@ def load_config(config_path: str | Path, args: argparse.Namespace) -> Run:
     payload = read_json(config_path, ConfigError, "config file")
     if not isinstance(payload, dict):
         raise ConfigError(f"{config_path} must contain a JSON object")
-    sections = {None: payload} | {o.section: payload.get(o.section) or {} for o in OPTIONS if o.section}
+    # an absent or null section is empty; any other value that is not an object is refused below
+    sections = {None: payload} | {o.section: {} if payload.get(o.section) is None else payload[o.section]
+                                  for o in OPTIONS if o.section}
     known = {s: {o.key for o in OPTIONS if o.key and o.section == s} for s in sections}
     known[None].update(s for s in sections if s)
     problems = []

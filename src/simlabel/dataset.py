@@ -131,7 +131,7 @@ def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Ca
         raise error(f"{what} not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as err:  # JSONDecodeError, or bytes that are not UTF-8
+    except (ValueError, RecursionError) as err:  # JSONDecodeError, bytes that are not UTF-8, or deep nesting
         raise error(f"{what} {path} is not valid JSON: {err}") from err
     if build is None:
         return payload
@@ -377,26 +377,18 @@ def load_dataset(
 
 
 def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
-    header = [name for name, _ in data.schema.columns]
+    rows, schema = data.rows, data.schema
+    columns = {
+        schema.id_column: [row.id for row in rows],
+        schema.timestamp_column: [row.timestamp.isoformat() for row in rows],
+        schema.label_column: [row.label for row in rows],
+    } | {name: [row.features.get(name) for row in rows] for name in schema.feature_columns}
+    header = [name for name, _ in schema.columns]
+    cells = [columns[name] for name in header]
     if include_provenance:
         header += PROVENANCE_COLUMNS
-
-    def cells(row: Sample) -> list:
-        line = []
-        for name, role in data.schema.columns:
-            if role is Role.ID:
-                line.append(row.id)
-            elif role is Role.TIMESTAMP:
-                line.append(row.timestamp.isoformat())
-            elif role is Role.LABEL:
-                line.append(row.label)
-            else:
-                line.append(row.features.get(name))
-        if include_provenance:
-            line += [row.source, row.vote, row.matched_count]
-        return line
-
-    return csv_text(header, map(cells, data.rows))
+        cells += [[row.source for row in rows], [row.vote for row in rows], [row.matched_count for row in rows]]
+    return csv_text(header, zip(*cells))
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -420,15 +420,14 @@ def contributors_to_json_dict(matches: Matches) -> dict:
 def contributors_to_json_text(payload: dict) -> str:
     """`json.dumps(payload, indent=2) + "\\n"` without the pure-Python encoder that `indent` selects.
 
-    Ids go through json's C escaper, and all similarities through one C `dumps`, which spells NaN
-    and the infinities as `indent=2` does.
+    One pass: ids go through json's C escaper, a finite float similarity through `float.__repr__` as
+    json writes it (a numpy float64's own repr is `np.float64(0.5)`), and anything else through `json.dumps`.
     """
-    sims = iter(json.dumps([sim for contributors in payload.values() for _, sim in contributors])[1:-1].split(", "))
     entries = []
     for uid, contributors in payload.items():
-        # zip draws from `contributors` first, so it takes no similarity past the entry's last row
-        rows = ",\n".join([f"    [\n      {json_str(lid)},\n      {sim}\n    ]"
-                           for (lid, _), sim in zip(contributors, sims)])
+        rows = ",\n".join([f"    [\n      {json_str(lid)},\n      "
+                           f"{float.__repr__(sim) if isinstance(sim, float) and math.isfinite(sim) else json.dumps(sim)}"
+                           "\n    ]" for lid, sim in contributors])
         entries.append(f"  {json_str(uid)}: [\n{rows}\n  ]" if contributors else f"  {json_str(uid)}: []")
     return "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
 

@@ -85,7 +85,7 @@ class LinearModel:
         means = np.array([self.feature_means[f] for f in feats], dtype=np.float64)
         scales = np.array([self.feature_scales[f] for f in feats], dtype=np.float64)
         x = np.where(np.isnan(x), means, x)
-        z = (x - means) / scales if len(feats) else x
+        z = (x - means) / scales
         margin = self.intercept + np.einsum("ij,j->i", z, w)
         return _sigmoid(margin)
 

@@ -427,6 +427,29 @@ class TestCliRobustness:
         message = one_error_line(capsys)["message"]
         assert artifact in message and named in message
 
+    # JSON nested past the parser's recursion limit, in the config file or in an upstream artifact
+    @pytest.mark.parametrize("name, command", [("config.json", "split"), ("out/params.json", "match")])
+    def test_deeply_nested_json_exits_cleanly(self, tmp_path, capsys, name, command):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        for step in PIPELINE[:PIPELINE.index(command)]:
+            assert main([step, "--config", str(fx["config"])]) == 0
+        path = tmp_path / name
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"])]) == 1
+        message = one_error_line(capsys)["message"]
+        assert str(path) in message and "is not valid JSON" in message
+
+    # only an absent or null section is empty: a falsy value of another type is not an object either
+    @pytest.mark.parametrize("value, rc", [(None, 0), ([], 1), (0, 1), (False, 1), ("", 1)],
+                             ids=["null", "empty-list", "zero", "false", "empty-string"])
+    def test_config_section_must_be_an_object_or_null(self, tmp_path, capsys, value, rc):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10, extra_config={"train": value})
+        assert main(["split", "--config", str(fx["config"])]) == rc
+        if rc:
+            assert one_error_line(capsys)["message"] == "config section 'train' must be an object"
+            assert not list(fx["out"].glob("*"))
+
     @pytest.mark.parametrize("column, value", [
         ("y_hat", "7"), ("t", "nan"), ("t", "5.0"), ("t", ""), ("matched_count", "-4"), ("g0", "inf"),
     ], ids=["y_hat-7", "t-nan", "t-5", "t-empty", "negative-matched-count", "infinite-imputed"])

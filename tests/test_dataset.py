@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_sample, make_schema
 from simlabel.dataset import (
+    PROVENANCE_COLUMNS,
+    SOURCE_REAL,
+    SOURCE_SIMILAR,
     Dataset,
     FeatureSchema,
     Role,
+    Sample,
     csv_text,
+    dataset_to_csv_text,
     load_dataset,
     load_schema,
     time_holdout_split,
@@ -91,6 +96,54 @@ class TestCsvText:
         # csv.writer leaves "a\rb" unquoted under a "\n" line terminator, and csv.reader splits the row there
         with pytest.raises(DataError, match="carriage return"):
             csv_text(["id", "v"], [["x", 1.0], [cell, 2.0]])
+
+
+def dataset_csv_text_by_row(data, include_provenance):
+    """The reference writer: each row's cells in turn, each by its column's role."""
+    header = [name for name, _ in data.schema.columns]
+    if include_provenance:
+        header += PROVENANCE_COLUMNS
+
+    def cells(row):
+        line = []
+        for name, role in data.schema.columns:
+            if role is Role.ID:
+                line.append(row.id)
+            elif role is Role.TIMESTAMP:
+                line.append(row.timestamp.isoformat())
+            elif role is Role.LABEL:
+                line.append(row.label)
+            else:
+                line.append(row.features.get(name))
+        if include_provenance:
+            line += [row.source, row.vote, row.matched_count]
+        return line
+
+    return csv_text(header, map(cells, data.rows))
+
+
+FEATURE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05])
+ROWS = st.lists(st.builds(
+    Sample,
+    id=st.text('a,"\n é', max_size=3),
+    timestamp=st.datetimes(timezones=st.none() | st.sampled_from([timezone.utc, timezone(timedelta(hours=-5.5))])),
+    features=st.dictionaries(st.sampled_from(SCHEMA.feature_columns), FEATURE_VALUES),
+    label=st.sampled_from([None, -1, 1]),
+    source=st.sampled_from([SOURCE_REAL, SOURCE_SIMILAR]),
+    vote=st.none() | st.floats(-1.0, 1.0),
+    matched_count=st.none() | st.integers(0, 2**53),
+), max_size=6)
+
+
+class TestDatasetToCsvText:
+    @settings(max_examples=200, deadline=None)
+    @given(st.permutations(SCHEMA.columns), ROWS, st.booleans())
+    @example(SCHEMA.columns, [], False)
+    @example(SCHEMA.columns, [], True)
+    def test_bytes_equal_the_row_by_row_writer(self, columns, rows, include_provenance):
+        # the columns in any order, absent features and None labels, naive and offset-aware timestamps
+        data = Dataset(FeatureSchema(tuple(columns)), rows)
+        assert dataset_to_csv_text(data, include_provenance) == dataset_csv_text_by_row(data, include_provenance)
 
 
 class TestLoadDataset:

@@ -546,8 +546,11 @@ class TestTopRows:
 
 IDS = st.text(max_size=4) | st.text(
     alphabet=st.sampled_from(['"', "\\", "\n", "\r", "\x00", "\x7f", "a", "é", "\u2028", "𝄞", ",", " "]), max_size=4)
-SIMILARITIES = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
-    [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, math.nan, math.inf, -math.inf])
+SIMILARITIES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308, math.nan, math.inf, -math.inf]),
+    # json writes a float subclass with float.__repr__, not its own repr, and ints and bools as ints and bools
+    st.floats().map(np.float64), st.integers(-2**63, 2**63), st.booleans())
 CONTRIBUTOR = st.tuples(IDS, SIMILARITIES)
 CELLS = st.sampled_from([math.nan, -0.0, 5e-324, -5e-324])
 # (id, t, whether the row is confident, matched_count, imputed g0 and g1); a confident row's y_hat is t's sign

@@ -15,6 +15,7 @@ from simlabel.model import (
     LinearModel,
     ScoreFile,
     TrainConfig,
+    _sigmoid,
     load_external_scores,
     load_model,
     predict_scores,
@@ -198,6 +199,14 @@ class TestPredictScores:
         )
         data = Dataset(SCHEMA, [make_sample("a", {"f0": 5.0, "f1": 0.0})])
         assert predict_scores(model, data).rows[0][1] == 0.5
+
+    @pytest.mark.parametrize("intercept", [-2.5, 0.0, 1.25])
+    def test_model_without_weights_scores_its_intercept(self, intercept):
+        # training drops constant features, so a model can keep none: its feature matrix has no columns
+        model = LinearModel(weights={}, intercept=intercept, l1=0.0, l2=0.0, feature_means={}, feature_scales={})
+        data = Dataset(SCHEMA, [make_sample("a", {"f0": 5.0, "f1": 0.0}), make_sample("b", {})])
+        expected = _sigmoid(np.array([intercept]))[0]
+        assert [score for _, score in predict_scores(model, data).rows] == [expected, expected]
 
     def test_standardized_zero_scores_half(self):
         model = LinearModel(
