@@ -156,18 +156,18 @@ KINDS = {
 
 
 def _resolve(option: Option, args: argparse.Namespace, section: dict, config_path: Path):
-    """The first set value of flag, environment and config file, parsed; else the default."""
+    """The first set value of flag, environment (unset when empty) and config file, parsed; else the default."""
     sources = (
         (getattr(args, option.name, None) if option.flag else None, option.flag, Path()),
-        (os.environ.get(option.env) if option.env else None, option.env, Path()),
+        (os.environ.get(option.env) or None if option.env else None, option.env, Path()),
         (section.get(option.key) if option.key else None, str(config_path), config_path.parent),
     )
     for value, source, base in sources:
-        if value is None or value == "":
+        if value is None:
             continue
         parse, must_be = KINDS[option.kind]
         try:
-            if isinstance(value, bool):  # JSON's true and false, which Python reads as 1 and 0
+            if isinstance(value, bool) or value == "":  # no value, or JSON's true and false (Python's 1 and 0)
                 raise TypeError(value)
             return parse(value, base)
         except (TypeError, ValueError, OverflowError) as err:

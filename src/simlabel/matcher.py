@@ -9,9 +9,10 @@ the similarity-weighted mean over the matched contributors.
 
 All comparisons are strict, so ties at a threshold abstain. Similarities come
 from kernel.similarity_block in blocks of every labeled row against a run of
-unlabeled rows, at most BLOCK_PAIRS similarities a block. Votes and
-imputations add their terms in labeled-dataset order, so every result equals
-that of a per-pair loop bit for bit, whatever the block size.
+unlabeled rows, at most BLOCK_PAIRS similarities a block. One np.nonzero per
+block lists the contributors, the pairs above d, in labeled-dataset order;
+votes, matched counts and imputations sum only those terms, in that order, so
+every result equals that of a per-pair loop bit for bit, whatever the block size.
 
 Each unlabeled row keeps its top contributors: the labeled rows of highest
 similarity, ties in labeled order. They are found without sorting every
@@ -100,7 +101,7 @@ def _labels(labeled: Dataset) -> np.ndarray:
         raise MatcherError(
             f"labeled dataset has rows without a -1/+1 label: {', '.join(bad[:10])}"
         )
-    return np.array([row.label for row in labeled.rows], dtype=np.float64)[:, None]
+    return np.array([row.label for row in labeled.rows], dtype=np.float64)
 
 
 def _blocks(
@@ -181,19 +182,14 @@ def labeled_similarity_distribution(sims: np.ndarray) -> dict[str, float]:
     }
 
 
-def _weighted_means(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """sum(w * v) / sum(w) down each column, NaN where sum(w) is 0.
+def _weighted_means(cols: np.ndarray, weights: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """sum(w * v) / sum(w) over the entries of each of n columns, NaN where a column has none.
 
-    The terms are added top to bottom starting from 0.0, the order and rounding
-    of a Python loop over the rows (np.sum would pair them).
+    np.bincount adds a column's terms from 0.0 in the order given, so entries
+    in labeled order are summed as a Python loop over the labeled rows sums them.
     """
-    zero = np.zeros((1, weights.shape[1]))
-    num, den = (
-        np.add.accumulate(np.vstack([zero, terms]), axis=0)[-1]
-        for terms in (weights * values, weights)
-    )
     with np.errstate(invalid="ignore"):  # 0 / 0
-        return num / den
+        return np.bincount(cols, weights * values, n) / np.bincount(cols, weights, n)
 
 
 def unlabeled_votes(
@@ -206,7 +202,8 @@ def unlabeled_votes(
     labels = _labels(labeled)
     votes = np.empty(len(unlabeled))
     for block, sims in _labeled_blocks(unlabeled, labeled, ranges):
-        votes[block] = _weighted_means(np.where(sims > d, sims, 0.0), labels)
+        rows, cols = np.nonzero(sims > d)
+        votes[block] = _weighted_means(cols, sims[rows, cols], labels[rows], sims.shape[1])
     return votes
 
 
@@ -324,21 +321,20 @@ def match_batch(
     estimation = labeled.schema.estimation_features
     values = feature_matrix(labeled.rows, estimation)
     carried = ~np.isnan(values)
-    values = np.where(carried, values, 0.0)
     n, width = len(unlabeled), min(TOP_CONTRIBUTORS_CAP, len(labeled))
     votes, estimates, matched = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    imputed = np.full((n, len(estimation)), np.nan)
+    imputed = np.empty((n, len(estimation)))
     top, top_sims = np.empty((n, width), dtype=np.intp), np.empty((n, width))
     for block, sims in _labeled_blocks(unlabeled, labeled, ranges):
-        above = sims > params.d
-        weights = np.where(above, sims, 0.0)
-        votes[block] = _weighted_means(weights, labels)
+        rows, cols = np.nonzero(sims > params.d)
+        weights, size = sims[rows, cols], sims.shape[1]
+        votes[block] = _weighted_means(cols, weights, labels[rows], size)
         estimates[block] = np.where(votes[block] > params.c, 1, np.where(votes[block] < -params.c, -1, 0))
-        matched[block] = np.count_nonzero(above, axis=0)
-        confident = np.flatnonzero(estimates[block])
+        matched[block] = np.bincount(cols, minlength=size)
+        confident = np.flatnonzero(estimates[block][cols])  # the entries of confident columns
         for g in range(len(estimation)):
-            imputed[block.start + confident, g] = _weighted_means(
-                np.where(carried[:, g, None], weights[:, confident], 0.0), values[:, g, None])
+            e = confident[carried[rows[confident], g]]
+            imputed[block, g] = _weighted_means(cols[e], weights[e], values[rows[e], g], size)
         top[block], top_sims[block] = _top_rows(sims, width)
     contributor = np.arange(width) < matched[:, None]
     return Matches(

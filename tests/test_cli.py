@@ -18,7 +18,7 @@ import simlabel.matcher
 import simlabel.probe
 from conftest import make_schema, write_pipeline_fixture
 from oracles import gower_oracle
-from simlabel.cli import OPTIONS, build_parser, load_config, main
+from simlabel.cli import KINDS, OPTIONS, build_parser, load_config, main
 from simlabel.dataset import load_dataset, load_schema
 
 PIPELINE = ("split", "ranges", "calibrate", "match", "augment", "train", "score", "evaluate", "report")
@@ -634,6 +634,43 @@ def test_flag_beats_config_beats_default(tmp_path, monkeypatch, option):
         assert resolved(keyed) == from_config
     assert resolved(keyed, option.flag, *flag_args) == from_flag
     assert resolved({}) == option.default
+
+
+# "" is no value of any kind: from the config file or a flag it is refused, not read as unset
+@pytest.mark.parametrize("name, where", [
+    ("seed", "config"), ("seed", "flag"),  # int
+    ("d", "config"), ("d", "flag"),  # float
+    ("test_fraction", "config"), ("test_fraction", "flag"),  # unit
+    ("sample_id", "config"), ("sample_id", "flag"),  # str
+    ("out_dir", "config"), ("out_dir", "flag"),  # path
+    ("x", "config"), ("x", "flag"),  # axis
+    ("features", "config"), ("vary", "flag"),  # names
+])
+def test_empty_string_is_refused(tmp_path, capsys, name, where):
+    option = next(o for o in OPTIONS if o.name == name)
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    argv = [option.commands[0] if option.commands else "split", "--config", str(fx["config"])]
+    if where == "flag":
+        strings = ["", "", ""] if option.kind == "axis" else [""]  # an axis flag takes three strings
+        argv += [option.flag, *strings]
+        value = strings if option.kind == "axis" else ""
+        source = option.flag
+    else:
+        value, source = "", str(fx["config"])
+        payload = json.loads(fx["config"].read_text())
+        (payload if option.section is None else payload.setdefault(option.section, {}))[option.key] = value
+        fx["config"].write_text(json.dumps(payload))
+    assert main(argv) == 1
+    assert one_error_line(capsys)["message"] == (
+        f"{name} must be {KINDS[option.kind][1]}, got {value!r} from {source}")
+    assert not list(fx["out"].glob("*"))
+
+
+def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    monkeypatch.setenv("SIMLABEL_OUT_DIR", "")
+    assert main(["split", "--config", str(fx["config"])]) == 0
+    assert (fx["out"] / "train.csv").exists()
 
 
 # a usage error, or a flag value its kind's parser refuses: one JSON line, exit 1

@@ -336,6 +336,16 @@ class TestMatchBatch:
         batch = match_rows(match_batch(unlabeled, labeled, ranges, params), labeled.schema)
         assert batch == [estimate_label(row, labeled, ranges, params) for row in unlabeled.rows]
 
+    def test_empty_labeled_matches_nothing(self):
+        # split with test_fraction 0 hands match a test side with no rows: a zero-row block
+        unlabeled = unlabeled_line([0.0, 0.5, 1.0])
+        matches = match_batch(unlabeled, Dataset(SCHEMA_1D, []), LINE, SimilarityParams(d=0.5, c=0.5))
+        assert np.isnan(matches.votes).all() and matches.votes.shape == (3,)
+        assert matches.estimates.tolist() == [0, 0, 0] and matches.matched.tolist() == [0, 0, 0]
+        assert np.isnan(matches.imputed).all() and matches.imputed.shape == (3, 1)
+        assert matches.top_ids.shape == (3, 0) and matches.top_sims.shape == (3, 0)
+        assert np.isnan(unlabeled_votes(unlabeled, Dataset(SCHEMA_1D, []), LINE, 0.5)).all()
+
     def test_contributor_arrays_are_padded_past_the_matched_count(self):
         labeled = labeled_line([(0.0, 1), (0.05, -1), (0.5, 1)])
         matches = match_batch(unlabeled_line([0.0, 0.9]), labeled, LINE, SimilarityParams(d=0.9, c=0.5))
@@ -542,6 +552,44 @@ class TestTopRows:
         order = np.argsort(-sims, axis=0, kind="stable")[:width]
         assert np.array_equal(rows, order.T)
         assert np.array_equal(values, np.take_along_axis(sims, order, axis=0).T)
+
+
+# sums whose value depends on the order of their terms (1e16 + 1.0 rounds back to 1e16), signed zeros and subnormals
+TERM_VALUES = st.sampled_from([1e16, 1.0, -1e16, -0.0, 0.0, 5e-324, -5e-324, 1e-310]) | st.floats(-1e300, 1e300)
+
+
+@st.composite
+def contributor_blocks(draw):
+    """(similarities, d, per-row values): ties at d, columns with nothing above d, order-sensitive sums."""
+    d = draw(st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0))
+    n_rows, n_cols = draw(st.integers(0, 12)), draw(st.integers(0, 5))
+    sim = st.sampled_from([d, 1.0, 0.0]) | st.floats(0.0, 1.0)
+    sims = draw(st.lists(st.lists(sim, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows))
+    values = draw(st.lists(TERM_VALUES, min_size=n_rows, max_size=n_rows))
+    return np.array(sims, dtype=np.float64).reshape(n_rows, n_cols), d, np.array(values, dtype=np.float64)
+
+
+class TestWeightedMeans:
+    # np.bincount adding each column's terms in the order given is how numpy is written, not a
+    # documented contract; the matcher's agreement with the per-pair loop rests on it
+    @given(contributor_blocks())
+    @example((np.array([[1.0, 0.5], [1.0, 0.5], [1.0, 0.5]]), 0.5, np.array([1e16, 1.0, -1e16])))
+    @settings(max_examples=400, deadline=None)
+    def test_nonzero_entries_sum_as_a_python_loop(self, case):
+        sims, d, values = case
+        rows, cols = np.nonzero(sims > d)
+        got = simlabel.matcher._weighted_means(cols, sims[rows, cols], values[rows], sims.shape[1])
+        want = []
+        for j in range(sims.shape[1]):
+            num = den = 0.0
+            for i in range(sims.shape[0]):
+                if sims[i, j] > d:
+                    num += sims[i, j] * values[i]
+                    den += sims[i, j]
+            want.append(num / den if den else math.nan)
+        want = np.array(want, dtype=np.float64)
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        assert got[~np.isnan(got)].tobytes() == want[~np.isnan(want)].tobytes()
 
 
 IDS = st.text(max_size=4) | st.text(
