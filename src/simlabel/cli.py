@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -245,13 +246,14 @@ def _slug(text: str) -> str:
 
 def cmd_split(run: Run) -> str:
     train, test = time_holdout_split(run.dataset("labeled"), run["test_fraction"])
+    counts = f"{len(train)} train / {len(test)} test rows"
+    if not test.rows:
+        raise ConfigError(f"test_fraction {run['test_fraction']} leaves test.csv with no rows ({counts})")
     write_dataset(train, run.out / "train.csv")
     write_dataset(test, run.out / "test.csv")
-    boundary = min((r.timestamp for r in test.rows), default=None)
-    when = "none (test empty)" if boundary is None else boundary.isoformat()
     return (
-        f"split: {len(train)} train / {len(test)} test rows (fraction {run['test_fraction']}, "
-        f"holdout {when}) -> {run.out / 'train.csv'}, {run.out / 'test.csv'}"
+        f"split: {counts} (fraction {run['test_fraction']}, holdout "
+        f"{min(r.timestamp for r in test.rows).isoformat()}) -> {run.out / 'train.csv'}, {run.out / 'test.csv'}"
     )
 
 
@@ -338,11 +340,14 @@ def cmd_train(run: Run) -> str:
         if data is None:
             parts.append("augmented: skipped (no augmented_train.csv; run `augment` to enable)")
             continue
-        fitted = model_mod.train_logistic(data, run["features"], model_mod.TrainConfig(**settings))
+        with warnings.catch_warnings(record=True) as caught:  # named in the summary, not on stderr
+            warnings.simplefilter("always", UserWarning)
+            fitted = model_mod.train_logistic(data, run["features"], model_mod.TrainConfig(**settings))
         run_config = {**settings, "features": run["features"], "train_rows": len(data),
                       "train_artifact": data_name}
         model_mod.save_model(fitted, run.out / f"model_{kind}.json", extra={"run_config": run_config})
-        parts.append(f"{kind}: {len(fitted.weights)} weights, {fitted.n_iter} iters ({fitted.stop_reason})")
+        parts.append(f"{kind}: {len(fitted.weights)} weights, {fitted.n_iter} iters ({fitted.stop_reason})"
+                     + "".join(f", warning: {w.message}" for w in caught))
     return f"train: {'; '.join(parts)} -> {run.out / 'model_plain.json'}"
 
 

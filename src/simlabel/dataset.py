@@ -256,13 +256,6 @@ def feature_matrix(rows: Sequence[Sample], names: Sequence[str]) -> np.ndarray:
     return np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
 
 
-def _parse_feature(text: str, name: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"feature {name!r} must be finite, got {text!r}")
-    return value
-
-
 def load_dataset(
     path: str | Path,
     schema: FeatureSchema,
@@ -271,9 +264,9 @@ def load_dataset(
     """Parse a CSV file against the schema.
 
     Every violation is collected and reported together, each naming its data
-    row (1-based, header excluded). `strict_labeled=False` skips the check
-    that labeled rows carry all similarity features; merged and similar
-    datasets written by this package may legitimately lack some.
+    row (1-based, header excluded); a row is kept only if it adds none.
+    `strict_labeled=False` skips the check that labeled rows carry all
+    similarity features; merged and similar datasets may lack some.
     """
     lines = read_csv(path, DataError, "dataset file")
     _, header = next(lines)
@@ -302,16 +295,14 @@ def load_dataset(
             )
             continue
 
-        ok = True
+        found = len(violations)
         sample_id = cells[id_at].strip()
         if not sample_id:
             violations.append(f"row {row_num}: empty id")
-            ok = False
         elif sample_id in seen_ids:
             violations.append(
                 f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen_ids[sample_id]})"
             )
-            ok = False
         else:
             seen_ids[sample_id] = row_num
 
@@ -323,7 +314,6 @@ def load_dataset(
             violations.append(
                 f"row {row_num}: timestamp {ts_text!r} is not ISO-8601"
             )
-            ok = False
         else:
             # naive and offset-aware datetimes cannot be ordered against each other
             aware = timestamp.tzinfo is not None
@@ -331,7 +321,6 @@ def load_dataset(
             if aware != first_aware[1]:
                 kind = "offset-aware" if aware else "naive"
                 violations.append(f"row {row_num}: timestamp {ts_text!r} is {kind}, unlike row {first_aware[0]}'s")
-                ok = False
 
         label: int | None = None
         label_text = cells[label_at].strip()
@@ -344,7 +333,6 @@ def load_dataset(
                 violations.append(
                     f"row {row_num}: label must be -1 or +1, got {label_text!r}"
                 )
-                ok = False
 
         features: dict[str, float] = {}
         for name, at in feature_at:
@@ -352,22 +340,24 @@ def load_dataset(
             if not text:
                 continue
             try:
-                features[name] = _parse_feature(text, name)
+                value = float(text)
             except ValueError:
+                value = math.nan
+            if math.isfinite(value):
+                features[name] = value
+            else:
                 violations.append(
                     f"row {row_num}: column {name!r} is not a finite number: {text!r}"
                 )
-                ok = False
 
-        if ok and strict_labeled and label is not None:
+        if len(violations) == found and strict_labeled and label is not None:
             absent = [f for f in sim_features if f not in features]
             if absent:
                 violations.append(
                     f"row {row_num}: labeled row missing similarity features: {', '.join(absent)}"
                 )
-                ok = False
 
-        if ok:
+        if len(violations) == found:
             rows.append(Sample(id=sample_id, timestamp=timestamp, features=features, label=label))
 
     if violations:

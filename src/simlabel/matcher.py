@@ -113,7 +113,8 @@ def _blocks(
     `left` and `right` are the rows' feature matrices in range-table order.
     The similarities have left rows on axis 0; a block holds at most
     BLOCK_PAIRS of them, or one right row's when the left rows alone are more.
-    The first pair, in right-row order, that shares no feature raises.
+    The first NaN pair, in right-row order, raises: it shares no feature, or
+    its difference in a feature of infinite spread overflows.
     """
     step = max(1, BLOCK_PAIRS // max(1, len(left)))
     for start in range(0, len(right), step):
@@ -121,8 +122,11 @@ def _blocks(
         sims = similarity_block(left, right[block], ranges)
         if np.isnan(sims).any():
             j, i = np.argwhere(np.isnan(sims.T))[0]
-            raise KernelError(f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r} "
-                              "share no similarity feature values")
+            pair = f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r}"
+            with np.errstate(over="ignore"):  # a missing cell makes the difference NaN, not inf
+                k = np.flatnonzero(np.isinf(left[i] - right[start + j]) & np.isinf(list(ranges.ranges.values())))
+            raise KernelError(f"{pair}: their difference in feature {ranges.features()[k[0]]!r} overflows the "
+                              "float range" if k.size else f"{pair} share no similarity feature values")
         yield block, sims
 
 

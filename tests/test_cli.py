@@ -284,6 +284,27 @@ class TestCliExtras:
         assert result.returncode == 0
         assert "split:" in result.stdout
 
+    def test_dropped_feature_is_named_on_stdout_not_stderr(self, tmp_path):
+        schema = make_schema(2, 0)
+        (tmp_path / "schema.json").write_text(json.dumps(schema.to_mapping()), encoding="utf-8")
+        (tmp_path / "labeled.csv").write_text("uid,ts,y,f0,f1\n" + "".join(
+            f"l{i},2024-01-01T{i // 2:02d}:{i % 2 * 30:02d}:00,{1 - 2 * (i % 2)},{i % 7},0.5\n" for i in range(40)),
+            encoding="utf-8")
+        (tmp_path / "config.json").write_text(json.dumps({
+            "schema": "schema.json", "labeled": "labeled.csv", "unlabeled": "labeled.csv", "out_dir": "out",
+        }), encoding="utf-8")
+        package_dir = str(Path(simlabel.matcher.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))}
+        results = [
+            subprocess.run([sys.executable, "-m", "simlabel", command, "--config", str(tmp_path / "config.json")],
+                           capture_output=True, text=True, env=env)
+            for command in ("split", "train")
+        ]
+        assert [(r.returncode, r.stderr) for r in results] == [(0, ""), (0, "")]
+        assert "plain: 1 weights" in results[1].stdout
+        assert "dropping zero-variance or empty features: f1" in results[1].stdout
+        assert json.loads((tmp_path / "out" / "model_plain.json").read_text())["weights"].keys() == {"f0"}
+
     def test_manual_threshold_overrides(self, tmp_path):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
         for command in ("split", "ranges"):
@@ -470,6 +491,15 @@ class TestCliRobustness:
         message = one_error_line(capsys)["message"]
         assert str(path) in message and f"row {row}:" in message and column in message
         assert not (fx["out"] / "similar_train.csv").exists()
+
+    # 1e-12 of 48 rows rounds to no test row; an empty train side is still written, and calibrate refuses it
+    @pytest.mark.parametrize("fraction", ["0", "1e-12"])
+    def test_split_with_an_empty_test_side_is_refused(self, tmp_path, capsys, fraction):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=24, n_unlabeled_per=10)
+        assert main(["split", "--config", str(fx["config"]), "--test-fraction", fraction]) == 1
+        assert one_error_line(capsys)["message"] == (
+            f"test_fraction {float(fraction)} leaves test.csv with no rows (48 train / 0 test rows)")
+        assert not list(fx["out"].glob("*.csv"))
 
     def test_unwritable_out_dir_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)

@@ -3,6 +3,7 @@
 import json
 import math
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,7 @@ from simlabel.dataset import (
     dataset_to_csv_text,
     load_dataset,
     load_schema,
+    read_csv,
     time_holdout_split,
     write_dataset,
 )
@@ -288,6 +290,175 @@ class TestLoadDataset:
             ]
             assert row_a.label == row_b.label
             assert row_a.timestamp == row_b.timestamp
+
+
+
+# The loader as it was written with an `ok` flag beside every violation. Its
+# row loop is the reference for the flag-free one: both must keep the same rows
+# and report the same violations in the same order.
+def _parse_feature(text: str, name: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"feature {name!r} must be finite, got {text!r}")
+    return value
+
+
+def flagged_load_dataset(
+    path: str | Path,
+    schema: FeatureSchema,
+    strict_labeled: bool = True,
+) -> Dataset:
+    """load_dataset with one `ok` flag per row, kept verbatim from before the flags went."""
+    lines = read_csv(path, DataError, "dataset file")
+    _, header = next(lines)
+    missing_cols = [name for name, _ in schema.columns if name not in header]
+    if missing_cols:
+        raise DataError(
+            f"{path}: header is missing schema columns: {', '.join(missing_cols)}"
+        )
+    repeated = [name for name, _ in schema.columns if header.count(name) > 1]
+    if repeated:
+        raise DataError(f"{path}: header names schema column(s) more than once: {', '.join(repeated)}")
+    id_at, ts_at, label_at = (
+        header.index(name) for name in (schema.id_column, schema.timestamp_column, schema.label_column)
+    )
+    feature_at = [(name, header.index(name)) for name in schema.feature_columns]
+    sim_features = schema.similarity_features
+
+    rows: list[Sample] = []
+    violations: list[str] = []
+    seen_ids: dict[str, int] = {}
+    first_aware: tuple[int, bool] | None = None  # (row, whether its timestamp has an offset)
+    for row_num, cells in lines:
+        if len(cells) != len(header):
+            violations.append(
+                f"row {row_num}: expected {len(header)} columns, found {len(cells)}"
+            )
+            continue
+
+        ok = True
+        sample_id = cells[id_at].strip()
+        if not sample_id:
+            violations.append(f"row {row_num}: empty id")
+            ok = False
+        elif sample_id in seen_ids:
+            violations.append(
+                f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen_ids[sample_id]})"
+            )
+            ok = False
+        else:
+            seen_ids[sample_id] = row_num
+
+        timestamp = None
+        ts_text = cells[ts_at].strip()
+        try:
+            timestamp = datetime.fromisoformat(ts_text)
+        except ValueError:
+            violations.append(
+                f"row {row_num}: timestamp {ts_text!r} is not ISO-8601"
+            )
+            ok = False
+        else:
+            # naive and offset-aware datetimes cannot be ordered against each other
+            aware = timestamp.tzinfo is not None
+            first_aware = first_aware or (row_num, aware)
+            if aware != first_aware[1]:
+                kind = "offset-aware" if aware else "naive"
+                violations.append(f"row {row_num}: timestamp {ts_text!r} is {kind}, unlike row {first_aware[0]}'s")
+                ok = False
+
+        label: int | None = None
+        label_text = cells[label_at].strip()
+        if label_text:
+            try:
+                label = int(label_text)
+            except ValueError:
+                label = None
+            if label not in (-1, 1):
+                violations.append(
+                    f"row {row_num}: label must be -1 or +1, got {label_text!r}"
+                )
+                ok = False
+
+        features: dict[str, float] = {}
+        for name, at in feature_at:
+            text = cells[at].strip()
+            if not text:
+                continue
+            try:
+                features[name] = _parse_feature(text, name)
+            except ValueError:
+                violations.append(
+                    f"row {row_num}: column {name!r} is not a finite number: {text!r}"
+                )
+                ok = False
+
+        if ok and strict_labeled and label is not None:
+            absent = [f for f in sim_features if f not in features]
+            if absent:
+                violations.append(
+                    f"row {row_num}: labeled row missing similarity features: {', '.join(absent)}"
+                )
+                ok = False
+
+        if ok:
+            rows.append(Sample(id=sample_id, timestamp=timestamp, features=features, label=label))
+
+    if violations:
+        shown = "; ".join(violations)
+        raise DataError(f"{path}: {len(violations)} invalid rows: {shown}", violations)
+    return Dataset(schema=schema, rows=rows, provenance=str(path))
+
+
+NAIVE = ["2024-01-01", "2024-01-02T03:04:05", " 2024-01-03 "]
+AWARE = ["2024-01-01T00:00:00+02:00", "2024-01-01T00:00:00Z"]
+LABELS = ["", "1", "+1", "-1", "01", " 1 ", "2", "x"]  # the first six are valid
+FEATURES = ["", " ", "-0.0", " 2.5 ", "1_0", "nan", "inf", "1e999", "bad"]  # the first five are valid
+
+
+@st.composite
+def csv_lines(draw):
+    """Data rows as lists of cells: some valid, some with any cell drawn from its
+    invalid values too (empty, padded and repeated ids, bad or mixed timestamps),
+    and some with the wrong number of cells."""
+    timestamps = draw(st.sampled_from([NAIVE, AWARE]))  # what a valid row carries
+    lines = []
+    for i in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["valid", "valid", "any", "count"]))
+        if kind == "count":
+            lines.append(draw(st.lists(st.sampled_from(["", "r0", "1"]), max_size=8).filter(lambda c: len(c) != 6)))
+            continue
+        valid = kind == "valid"
+        ids = [f"r{i}", f" r{i} "] + ([] if valid else ["", " ", "r0", "r1 "])
+        stamps = timestamps if valid else NAIVE + AWARE + ["2024-13-01", "", "yesterday"]
+        lines.append([draw(st.sampled_from(ids)), draw(st.sampled_from(stamps)),
+                      draw(st.sampled_from(LABELS[:6] if valid else LABELS))]
+                     + [draw(st.sampled_from(FEATURES[:5] if valid else FEATURES)) for _ in range(3)])
+    return lines
+
+def load_outcome(load, path, strict_labeled):
+    """Every field of every kept row (features and timestamps by repr), or the DataError's text and violations."""
+    try:
+        data = load(path, SCHEMA, strict_labeled)
+    except DataError as err:
+        return str(err), err.violations
+    rows = [(row.id, repr(row.timestamp), repr(row.features), row.label, row.source, row.vote, row.matched_count)
+            for row in data.rows]
+    return rows, data.provenance
+
+
+class TestLoaderAgreesWithTheFlaggedLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(lines=csv_lines(), strict_labeled=st.booleans())
+    # a labeled row lacking f1 whose timestamp is bad: the strict check must not add a second violation
+    @example(lines=[["a", "yesterday", "1", "0", "", ""]], strict_labeled=True)
+    @example(lines=[["a", "2024-01-01", "1", "-0.0", " 2.5 ", "1_0"], ["b", "2024-01-02", "", "", "", ""]],
+             strict_labeled=True)
+    @example(lines=[["a", "2024-01-01", "1", "0"], ["a", "2024-01-01", "x", "", "", "1e999"]], strict_labeled=False)
+    def test_same_rows_or_same_violations(self, tmp_path_factory, lines, strict_labeled):
+        path = write(tmp_path_factory.getbasetemp(), HEADER + "".join(",".join(cells) + "\n" for cells in lines))
+        assert load_outcome(load_dataset, path, strict_labeled) == load_outcome(
+            flagged_load_dataset, path, strict_labeled)
 
 
 class TestTimeHoldoutSplit:

@@ -16,7 +16,7 @@ import simlabel.matcher
 from conftest import T0, make_sample, make_schema, match_dicts, random_instance
 from oracles import gower_oracle, match_oracle
 from simlabel.dataset import Dataset
-from simlabel.errors import DataError, MatcherError
+from simlabel.errors import DataError, KernelError, MatcherError
 from simlabel.kernel import RangeTable, compute_ranges
 from simlabel.matcher import (
     Matches,
@@ -337,7 +337,7 @@ class TestMatchBatch:
         assert batch == [estimate_label(row, labeled, ranges, params) for row in unlabeled.rows]
 
     def test_empty_labeled_matches_nothing(self):
-        # split with test_fraction 0 hands match a test side with no rows: a zero-row block
+        # a test.csv with a header and no rows hands match a zero-row block
         unlabeled = unlabeled_line([0.0, 0.5, 1.0])
         matches = match_batch(unlabeled, Dataset(SCHEMA_1D, []), LINE, SimilarityParams(d=0.5, c=0.5))
         assert np.isnan(matches.votes).all() and matches.votes.shape == (3,)
@@ -393,6 +393,23 @@ class TestMatchBatch:
         )
         with pytest.raises(Exception, match="ghost"):
             match_batch(bad, labeled, LINE, SimilarityParams(d=0.5, c=0.5))
+
+    def test_overflowing_difference_is_named_not_called_unshared(self):
+        # f0's spread 1e308 - (-1e308) is inf, and so is |l0 - l1| there: inf / inf is NaN,
+        # though the two rows carry both features
+        schema = make_schema(2, 0)
+        points = [(1e308, 0.5), (-1e308, 0.25), (0.0, 0.75), (1.0, 0.5), (2.0, 0.1)]
+        labeled = Dataset(schema, [
+            make_sample(f"l{i}", {"f0": f0, "f1": f1}, label=1 - 2 * (i % 2), ts=T0 + timedelta(hours=i))
+            for i, (f0, f1) in enumerate(points)])
+        ranges = compute_ranges([labeled], schema)
+        assert math.isinf(ranges.ranges["f0"])
+        overflow = "their difference in feature 'f0' overflows the float range"
+        with pytest.raises(KernelError, match=f"^samples 'l0' and 'l1': {overflow}"):
+            pairwise_similarities(labeled, ranges)
+        unlabeled = Dataset(schema, [make_sample("u0", {"f0": -1e308, "f1": 0.5})])
+        with pytest.raises(KernelError, match=f"^samples 'l0' and 'u0': {overflow}"):
+            match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.5, c=0.5))
 
 
 class TestMatcherProperties:
