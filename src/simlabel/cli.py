@@ -247,8 +247,9 @@ def _slug(text: str) -> str:
 def cmd_split(run: Run) -> str:
     train, test = time_holdout_split(run.dataset("labeled"), run["test_fraction"])
     counts = f"{len(train)} train / {len(test)} test rows"
-    if not test.rows:
-        raise ConfigError(f"test_fraction {run['test_fraction']} leaves test.csv with no rows ({counts})")
+    if not (train.rows and test.rows):
+        empty = "train.csv" if test.rows else "test.csv"
+        raise ConfigError(f"test_fraction {run['test_fraction']} leaves {empty} with no rows ({counts})")
     write_dataset(train, run.out / "train.csv")
     write_dataset(test, run.out / "test.csv")
     return (

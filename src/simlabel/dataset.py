@@ -326,7 +326,7 @@ def load_dataset(
         label_text = cells[label_at].strip()
         if label_text:
             try:
-                label = int(label_text)
+                label = int(label_text) if "_" not in label_text else None  # int() reads "0_1" as 1
             except ValueError:
                 label = None
             if label not in (-1, 1):
@@ -340,7 +340,7 @@ def load_dataset(
             if not text:
                 continue
             try:
-                value = float(text)
+                value = float(text) if "_" not in text else math.nan  # float() reads "1_0" as 10.0
             except ValueError:
                 value = math.nan
             if math.isfinite(value):

@@ -1,7 +1,7 @@
 """AUC ROC per model per test set, McNemar significance between model pairs.
 
-AUC is computed from average ranks, which equals the probability that a
-random positive outscores a random negative plus half the tie probability.
+AUC is counted from its definition: the probability that a random positive
+outscores a random negative, plus half the probability that they tie.
 McNemar compares two models' correctness on the same rows: with fewer than 25
 discordant pairs the exact two-sided binomial p-value is used, otherwise the
 continuity-corrected chi-square with one degree of freedom.
@@ -13,7 +13,9 @@ the report metadata says so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -60,32 +62,17 @@ def _aligned_scores(scores: ScoreFile, labels: Dataset) -> tuple[list[float], li
     return values, targets
 
 
-def _midranks(values: Sequence[float]) -> list[float]:
-    n = len(values)
-    order = sorted(range(n), key=lambda i: values[i])
-    ranks = [0.0] * n
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        midrank = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = midrank
-        i = j + 1
-    return ranks
-
-
 def auc_roc(scores: ScoreFile, labels: Dataset) -> float:
-    """P(score of a positive > score of a negative) + 0.5 P(equal), via average ranks."""
+    """P(score of a positive > score of a negative) + 0.5 P(equal), counted from each positive's wins."""
     values, targets = _aligned_scores(scores, labels)
-    n_pos = sum(1 for t in targets if t == 1)
-    n_neg = len(targets) - n_pos
+    negatives = sorted(v for v, t in zip(values, targets) if t != 1)
+    positives = [v for v, t in zip(values, targets) if t == 1]
+    n_pos, n_neg = len(positives), len(negatives)
     if n_pos == 0 or n_neg == 0:
         raise EvalError("AUC needs both classes present in the test labels")
-    ranks = _midranks(values)
-    rank_sum = sum(rank for rank, t in zip(ranks, targets) if t == 1)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # left + right bisect counts each negative below a positive twice and each tie once: twice its wins
+    twice = sum(bisect_left(negatives, v) + bisect_right(negatives, v) for v in positives)
+    return twice / 2.0 / (n_pos * n_neg)
 
 
 @dataclass(frozen=True)
@@ -166,16 +153,7 @@ class EvalReport:
                 for model in self.model_names
             },
             "mcnemar": [
-                {
-                    "testset": comp.testset,
-                    "model_a": comp.model_a,
-                    "model_b": comp.model_b,
-                    "b": comp.result.b,
-                    "c": comp.result.c,
-                    "statistic": comp.result.statistic,
-                    "p_value": comp.result.p_value,
-                    "variant": comp.result.variant,
-                }
+                {"testset": comp.testset, "model_a": comp.model_a, "model_b": comp.model_b, **asdict(comp.result)}
                 for comp in self.comparisons
             ],
             "metadata": self.metadata,
@@ -308,19 +286,11 @@ def evaluate_table(
         for ts_name, data in testsets.items():
             auc[(scores.model_name, ts_name)] = auc_roc(scores, data)
 
-    comparisons: list[Comparison] = []
-    for ts_name, data in testsets.items():
-        for i in range(len(models)):
-            for j in range(i + 1, len(models)):
-                result = mcnemar_test(models[i], models[j], data, class_threshold)
-                comparisons.append(
-                    Comparison(
-                        testset=ts_name,
-                        model_a=models[i].model_name,
-                        model_b=models[j].model_name,
-                        result=result,
-                    )
-                )
+    comparisons = [
+        Comparison(ts_name, a.model_name, b.model_name, mcnemar_test(a, b, data, class_threshold))
+        for ts_name, data in testsets.items()
+        for a, b in combinations(models, 2)
+    ]
 
     deltas: dict[str, dict[str, float]] = {}
     for name in names:

@@ -347,6 +347,8 @@ def load_external_scores(path: str | Path, model_name: str | None = None) -> Sco
             continue
         seen[sample_id] = row_num
         try:
+            if "_" in score_text:  # float() reads the digit grouping "0.2_5" as 0.25
+                raise ValueError(score_text)
             score = float(score_text)
         except ValueError:
             violations.append(f"row {row_num}: score is not numeric: {score_text!r}")

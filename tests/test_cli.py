@@ -361,7 +361,7 @@ class TestCliRobustness:
 
     def test_calibrate_with_one_train_row_exits_cleanly(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
-        assert main(["split", "--config", str(fx["config"]), "--test-fraction", "0.95"]) == 0
+        assert main(["split", "--config", str(fx["config"]), "--test-fraction", "0.9"]) == 0
         assert main(["ranges", "--config", str(fx["config"])]) == 0
         capsys.readouterr()
         assert main(["calibrate", "--config", str(fx["config"])]) == 1
@@ -492,13 +492,22 @@ class TestCliRobustness:
         assert str(path) in message and f"row {row}:" in message and column in message
         assert not (fx["out"] / "similar_train.csv").exists()
 
-    # 1e-12 of 48 rows rounds to no test row; an empty train side is still written, and calibrate refuses it
+    # 1e-12 of 48 rows rounds to no test row
     @pytest.mark.parametrize("fraction", ["0", "1e-12"])
     def test_split_with_an_empty_test_side_is_refused(self, tmp_path, capsys, fraction):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=24, n_unlabeled_per=10)
         assert main(["split", "--config", str(fx["config"]), "--test-fraction", fraction]) == 1
         assert one_error_line(capsys)["message"] == (
             f"test_fraction {float(fraction)} leaves test.csv with no rows (48 train / 0 test rows)")
+        assert not list(fx["out"].glob("*.csv"))
+
+    # 0.95 of 16 rows rounds to every row in test
+    @pytest.mark.parametrize("fraction", ["0.95", "1"])
+    def test_split_with_an_empty_train_side_is_refused(self, tmp_path, capsys, fraction):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        assert main(["split", "--config", str(fx["config"]), "--test-fraction", fraction]) == 1
+        assert one_error_line(capsys)["message"] == (
+            f"test_fraction {float(fraction)} leaves train.csv with no rows (0 train / 16 test rows)")
         assert not list(fx["out"].glob("*.csv"))
 
     def test_unwritable_out_dir_exits_cleanly(self, tmp_path, capsys):
@@ -628,6 +637,45 @@ def test_any_csv_bytes_give_success_or_one_json_error_line(fuzz_inputs, labeled,
         else:
             assert code == 1 and len(lines) == 1, lines
             assert json.loads(lines[0])["status"] == "error"
+
+
+# every upstream file of a command, with the command that reads it
+UPSTREAM = {"schema.json": "split", "config.json": "split", "ranges.json": "calibrate", "params.json": "match",
+            "match_train.csv": "augment", "model_plain.json": "score", "scores_plain.csv": "evaluate",
+            "eval_report.json": "report"}
+
+
+@pytest.fixture(scope="module")
+def upstream_files(tmp_path_factory):
+    """A finished small pipeline run, and the bytes of each of its inputs and artifacts."""
+    fx = write_pipeline_fixture(tmp_path_factory.mktemp("upstream"), n_labeled_per=20, n_unlabeled_per=60,
+                                extra_config={"calibrate": {"c": 0.5}})  # confident matches on both sides
+    for command in PIPELINE:
+        assert main([command, "--config", str(fx["config"])]) == 0, command
+    return fx, {path: path.read_bytes() for path in fx["config"].parent.rglob("*") if path.is_file()}
+
+
+@given(data=st.data(), name=st.sampled_from(sorted(UPSTREAM)))
+@settings(max_examples=120, deadline=None)
+def test_any_upstream_file_bytes_give_success_or_one_json_error_line(upstream_files, data, name):
+    fx, saved = upstream_files
+    for path, content in saved.items():  # undo what an earlier example changed or wrote
+        path.write_bytes(content)
+    path = next(path for path in saved if path.name == name)
+    good = saved[path]
+    spliced = st.tuples(st.integers(0, len(good)), st.integers(0, 40), st.binary(max_size=40)).map(
+        lambda cut: good[:cut[0]] + cut[2] + good[cut[0] + cut[1]:])
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=200), spliced)))
+    err = io.StringIO()
+    # the flag pins the output directory, whatever a mutated config names
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([UPSTREAM[name], "--config", str(fx["config"]), "--out-dir", str(fx["out"])])
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == []
+    else:
+        assert code == 1 and len(lines) == 1, lines
+        assert json.loads(lines[0])["status"] == "error"
 
 
 # option kind -> (config value, flag arguments, value read from the config, value read from the flag)

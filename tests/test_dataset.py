@@ -191,6 +191,19 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="row 2.*f0"):
             load_dataset(path, SCHEMA)
 
+    # float() and int() read digit grouping: "1_0" would load as 10.0 and "0_1" as the label 1
+    @pytest.mark.parametrize("label, f0, message", [
+        ("1", "1_0", "row 1: column 'f0' is not a finite number: '1_0'"),
+        ("1", "0.2_5", "row 1: column 'f0' is not a finite number: '0.2_5'"),
+        ("0_1", "0", "row 1: label must be -1 or +1, got '0_1'"),
+        ("-0_1", "0", "row 1: label must be -1 or +1, got '-0_1'"),
+    ])
+    def test_digit_grouping_underscore_is_not_a_number(self, tmp_path, label, f0, message):
+        path = write(tmp_path, HEADER + f"a,2024-01-01T00:00:00,{label},{f0},0,\n")
+        with pytest.raises(DataError) as err:
+            load_dataset(path, SCHEMA)
+        assert err.value.violations == [message]
+
     def test_non_finite_feature_rejected(self, tmp_path):
         path = write(tmp_path, HEADER + "a,2024-01-01T00:00:00,1,nan,0,\n")
         with pytest.raises(DataError, match="row 1"):
@@ -297,7 +310,7 @@ class TestLoadDataset:
 # row loop is the reference for the flag-free one: both must keep the same rows
 # and report the same violations in the same order.
 def _parse_feature(text: str, name: str) -> float:
-    value = float(text)
+    value = float(text) if "_" not in text else math.nan
     if not math.isfinite(value):
         raise ValueError(f"feature {name!r} must be finite, got {text!r}")
     return value
@@ -413,7 +426,7 @@ def flagged_load_dataset(
 NAIVE = ["2024-01-01", "2024-01-02T03:04:05", " 2024-01-03 "]
 AWARE = ["2024-01-01T00:00:00+02:00", "2024-01-01T00:00:00Z"]
 LABELS = ["", "1", "+1", "-1", "01", " 1 ", "2", "x"]  # the first six are valid
-FEATURES = ["", " ", "-0.0", " 2.5 ", "1_0", "nan", "inf", "1e999", "bad"]  # the first five are valid
+FEATURES = ["", " ", "-0.0", " 2.5 ", "1_0", "nan", "inf", "1e999", "bad"]  # the first four are valid
 
 
 @st.composite
@@ -433,7 +446,7 @@ def csv_lines(draw):
         stamps = timestamps if valid else NAIVE + AWARE + ["2024-13-01", "", "yesterday"]
         lines.append([draw(st.sampled_from(ids)), draw(st.sampled_from(stamps)),
                       draw(st.sampled_from(LABELS[:6] if valid else LABELS))]
-                     + [draw(st.sampled_from(FEATURES[:5] if valid else FEATURES)) for _ in range(3)])
+                     + [draw(st.sampled_from(FEATURES[:4] if valid else FEATURES)) for _ in range(3)])
     return lines
 
 def load_outcome(load, path, strict_labeled):

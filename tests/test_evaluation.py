@@ -104,6 +104,44 @@ class TestAucRoc:
         assert backward == pytest.approx(1.0 - forward, abs=1e-12)
 
 
+def midrank_auc(values, labels):
+    """The rank-sum AUC the evaluation module computed before it counted wins, kept as a bit-for-bit reference."""
+    n = len(values)
+    order = sorted(range(n), key=lambda i: values[i])
+    ranks = [0.0] * n
+    i = 0
+    while i < n:
+        j = i
+        while j + 1 < n and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        midrank = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            ranks[order[k]] = midrank
+        i = j + 1
+    n_pos = sum(1 for t in labels if t == 1)
+    n_neg = len(labels) - n_pos
+    rank_sum = sum(rank for rank, t in zip(ranks, labels) if t == 1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+@st.composite
+def tied_scores(draw):
+    """Scores on a grid of 2-50 levels whose zero comes as both -0.0 and 0.0, with both classes present."""
+    levels = draw(st.integers(2, 50))
+    grid = [-0.0, 0.0] + [k / (levels - 1) for k in range(1, levels)]
+    rows = draw(st.lists(st.tuples(st.sampled_from(grid), st.sampled_from([-1, 1])), min_size=2, max_size=300))
+    values = [value for value, _ in rows]
+    labels = [1, -1] + [label for _, label in rows[2:]]
+    return values, labels
+
+
+@given(tied_scores())
+@settings(max_examples=300, deadline=None)
+def test_auc_keeps_the_bits_of_the_midrank_formula(case):
+    values, labels = case
+    assert auc_roc(scorefile(values), label_set(labels)) == midrank_auc(values, labels)
+
+
 class TestMcNemar:
     def build(self, outcomes):
         """outcomes: list of (model A correct?, model B correct?) pairs."""

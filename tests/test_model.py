@@ -305,6 +305,13 @@ class TestScoreFiles:
         with pytest.raises(ModelError, match="not numeric"):
             load_external_scores(path)
 
+    @pytest.mark.parametrize("cell", ["0.2_5", "0_1", "1_0e-1"])
+    def test_digit_grouping_underscore_score_is_not_numeric(self, tmp_path, cell):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,score\na,0.25\nb,{cell}\n", encoding="utf-8")
+        with pytest.raises(ModelError, match=f"row 2: score is not numeric: '{cell}'"):
+            load_external_scores(path)
+
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "scores.csv"
         path.write_text("sample,value\na,0.25\n", encoding="utf-8")

@@ -94,6 +94,30 @@ class TestPrivateNames:
                                  for alias in node.names if alias.name.startswith("_")]
         assert not borrowed
 
+    def test_every_import_and_module_level_private_name_is_read(self):
+        """A guard against dead code: an import its module never reads, or a module-level `_name`
+        that neither its module nor another one (as an attribute) reads."""
+        trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(Path(simlabel.__file__).parent.glob("*.py"))}
+        attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)}
+        dead = []
+        for name, tree in trees.items():
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))
+                        and getattr(node, "module", None) != "__future__"
+                        for alias in node.names]
+            defined = [node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+            defined += [target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+                        if isinstance(target, ast.Name)]
+            dead += [f"{name}: import {bound}" for bound in imported if bound not in read]
+            dead += [f"{name}: {private}" for private in defined if private.startswith("_")
+                     and not private.startswith("__") and private not in read | attributes]
+        assert not dead
+
 
 class TestNumpyLoadsOnlyWhereItComputes:
     @pytest.fixture(scope="class")
