@@ -6,7 +6,8 @@ vote, imputes their missing features, augments train/test data with them,
 and evaluates and probes classifiers built on top.
 
 Every public name and submodule loads on first use (PEP 562), so
-`import simlabel` and the dataset loaders do not import numpy.
+`import simlabel`, the dataset loaders, `compute_ranges` and the model and
+score-file loaders do not import numpy.
 """
 
 import importlib

@@ -13,8 +13,10 @@ variable (SIMLABEL_OUT_DIR), which beats the config file, which beats the
 default. Paths in the config file are relative to it; paths given by flag or
 environment are relative to the working directory.
 
-Each command imports the library modules it computes with, so `split`,
-`report` and `--help` never load numpy.
+Each command imports the library modules it uses, and only the stages that
+compute with arrays load numpy: `split`, `ranges`, `evaluate`, `report` and
+`--help` never do. `augment` does, because `matcher.load_matches` reads the
+match file into the array-backed `Matches`.
 """
 
 from __future__ import annotations
@@ -101,9 +103,16 @@ OPTIONS = (
 )
 
 
+def _ungrouped(value):
+    """The value; a string holding "_" is refused, which float() and int() read as digit grouping ("2_00" as 200)."""
+    if isinstance(value, str) and "_" in value:
+        raise ValueError(value)
+    return value
+
+
 def _int(value, base: Path) -> int:
     """An integer; a number that is not whole (2.5, inf, nan) is refused, not truncated."""
-    if isinstance(value, str):
+    if isinstance(_ungrouped(value), str):
         try:
             return int(value)
         except ValueError:
@@ -114,7 +123,7 @@ def _int(value, base: Path) -> int:
 
 
 def _unit(value, base: Path) -> float:
-    value = float(value)
+    value = float(_ungrouped(value))
     if not 0.0 <= value <= 1.0:
         raise ValueError(value)
     return value
@@ -123,7 +132,7 @@ def _unit(value, base: Path) -> float:
 def _axis(value, base: Path) -> tuple[float, float, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 3 or any(isinstance(v, bool) for v in value):
         raise ValueError(value)
-    low, high = float(value[0]), float(value[1])
+    low, high = float(_ungrouped(value[0])), float(_ungrouped(value[1]))
     if not math.isfinite(low) or not math.isfinite(high):
         raise ValueError(value)
     return (low, high, _int(value[2], base))
@@ -146,7 +155,7 @@ def _scores(value, base: Path) -> list[tuple[str, Path]]:
 # must be); a flag's value reaches the parser as the string (three strings for an axis)
 KINDS = {
     "int": (_int, "an integer"),
-    "float": (lambda value, base: float(value), "a number"),
+    "float": (lambda value, base: float(_ungrouped(value)), "a number"),
     "unit": (_unit, "a number in [0, 1]"),
     "str": (lambda value, base: str(value), "a string"),
     "path": (lambda value, base: base / str(value), "a path"),

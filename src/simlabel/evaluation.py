@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .dataset import Dataset, json_count, json_number, read_json, write_json
 from .errors import EvalError
 
-if TYPE_CHECKING:  # annotations only: model imports numpy, which `report` never needs
+if TYPE_CHECKING:  # annotations only: `report` reads no score file and never loads the model module
     from .model import ScoreFile
 
 EXACT_VARIANT = "exact-binomial"

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
-
-from .dataset import Dataset, FeatureSchema, Sample, feature_matrix, json_number, read_json, write_json
+from .dataset import Dataset, FeatureSchema, Sample, json_number, read_json, write_json
 from .errors import KernelError
+
+if TYPE_CHECKING:  # annotations only: `ranges` computes with builtins and never loads numpy
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,20 +102,19 @@ def compute_ranges(
     if not sources:
         raise KernelError("compute_ranges needs at least one source dataset")
 
-    names = schema.similarity_features
-    x = np.vstack([feature_matrix(data.rows, names) for data in sources])
-    missing = [name for name, empty in zip(names, np.isnan(x).all(axis=0)) if empty]
+    # each feature's present values in row order; NaN can only come from a hand-built Sample
+    features = [row.features for data in sources for row in data.rows]
+    columns = {name: [v for f in features if (v := f.get(name)) is not None and v == v]
+               for name in schema.similarity_features}
+    missing = [name for name, values in columns.items() if not values]
     if missing:
         raise KernelError(
             f"features with no observed values in any source: {', '.join(missing)}"
         )
 
-    # the first extreme value in row order, so of 0.0 and -0.0 the one seen first
-    columns = np.arange(len(names))
-    lo = x[np.nanargmin(x, axis=0), columns].tolist()
-    hi = x[np.nanargmax(x, axis=0), columns].tolist()
-    ranges = {name: h - l for name, l, h in zip(names, lo, hi)}
-    bounds = {name: (l, h) for name, l, h in zip(names, lo, hi)}
+    # min and max keep the first extreme value in row order, so of 0.0 and -0.0 the one seen first
+    bounds = {name: (float(min(values)), float(max(values))) for name, values in columns.items()}
+    ranges = {name: hi - lo for name, (lo, hi) in bounds.items()}
     total_rows = sum(len(d) for d in sources)
     labels = [d.provenance or "<unnamed>" for d in sources]
     source = f"pooled over {len(sources)} dataset(s), {total_rows} rows: {'; '.join(labels)}"
@@ -179,6 +179,7 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     `einsum`): a threaded BLAS call on these small shapes can cost far more
     than the elementwise passes it would replace.
     """
+    import numpy as np
     missing_left, missing_right = np.isnan(left), np.isnan(right)
     count = ((len(ranges.ranges) - np.count_nonzero(missing_left, axis=1))[:, None]
              - np.count_nonzero(missing_right, axis=1).astype(np.float64))

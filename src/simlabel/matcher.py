@@ -382,6 +382,10 @@ def load_matches(path: str | Path, estimation_features: Sequence[str]) -> Matche
             vote = float(cells[1]) if cells[1] else math.nan
             label, count = int(cells[2]), int(cells[3])
             values = [float(text) if text else math.nan for text in cells[4:]] if label else []
+            parsed = zip(expected[1:], cells[1:4 + len(values)])  # an abstaining row's imputed cells are ignored
+            grouped = [f"{name} {text!r}" for name, text in parsed if "_" in text]
+            if grouped:  # float() and int() read digit grouping: "0.7_5" as 0.75 and "1_0" as 10
+                raise ValueError(f"digit grouping '_' is not a number: {', '.join(grouped)}")
             if cells[1] and not -1.0 <= vote <= 1.0:
                 raise ValueError(f"t must be a number in [-1, 1], got {cells[1]!r}")
             if label not in (-1, 0, 1):

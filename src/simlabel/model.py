@@ -16,13 +16,14 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .dataset import Dataset, Sample, atomic_write_text, csv_text, feature_matrix, read_csv
 from .dataset import json_count, json_number, read_json, write_json
 from .errors import ModelError
+
+if TYPE_CHECKING:  # annotations only: score files and model JSON load without numpy, so `evaluate` never loads it
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class LinearModel:
         independently (the matrix product is an einsum, one sequential sum per
         row), so a row's score does not depend on what else is in the batch.
         """
+        import numpy as np
         feats = self.features
         w = np.array([self.weights[f] for f in feats], dtype=np.float64)
         means = np.array([self.feature_means[f] for f in feats], dtype=np.float64)
@@ -150,6 +152,7 @@ def load_model(path: str | Path) -> LinearModel:
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
+    import numpy as np
     out = np.empty_like(t, dtype=np.float64)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
@@ -160,6 +163,7 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
 
 def smooth_loss(w: np.ndarray, b: float, z: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean logistic loss plus the l2 half-square penalty (the differentiable part)."""
+    import numpy as np
     margin = b + np.einsum("ij,j->i", z, w)
     loss = float(np.mean(np.logaddexp(0.0, -y * margin)))
     return loss + 0.5 * l2 * float(w @ w)
@@ -169,6 +173,7 @@ def smooth_loss_grad(
     w: np.ndarray, b: float, z: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Smooth loss and its analytic gradient in (w, b)."""
+    import numpy as np
     margin = b + np.einsum("ij,j->i", z, w)
     loss = float(np.mean(np.logaddexp(0.0, -y * margin))) + 0.5 * l2 * float(w @ w)
     slope = -y * _sigmoid(-y * margin)  # d/dmargin of logaddexp(0, -y*margin)
@@ -179,6 +184,7 @@ def smooth_loss_grad(
 
 
 def _soft_threshold(v: np.ndarray, threshold: float) -> np.ndarray:
+    import numpy as np
     return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
 
 
@@ -194,6 +200,7 @@ def train_logistic(
     is non-increasing across accepted iterates. Stops at the gradient-map
     tolerance or the iteration budget, and records which one fired.
     """
+    import numpy as np
     schema = train.schema
     if features is None:
         features = schema.feature_columns

@@ -471,9 +471,12 @@ class TestCliRobustness:
             assert one_error_line(capsys)["message"] == "config section 'train' must be an object"
             assert not list(fx["out"].glob("*"))
 
+    # the digit-grouped cells read as numbers a row matched to +1 could hold: t 0.75, y_hat 1, count 10, g0 20.5
     @pytest.mark.parametrize("column, value", [
         ("y_hat", "7"), ("t", "nan"), ("t", "5.0"), ("t", ""), ("matched_count", "-4"), ("g0", "inf"),
-    ], ids=["y_hat-7", "t-nan", "t-5", "t-empty", "negative-matched-count", "infinite-imputed"])
+        ("t", "0.7_5"), ("y_hat", "0_1"), ("matched_count", "1_0"), ("g0", "2_0.5"),
+    ], ids=["y_hat-7", "t-nan", "t-5", "t-empty", "negative-matched-count", "infinite-imputed",
+            "t-grouped", "y_hat-grouped", "matched-count-grouped", "imputed-grouped"])
     def test_corrupt_match_row_exits_cleanly(self, tmp_path, capsys, column, value):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step, flags in (("split", []), ("ranges", []), ("calibrate", ["--c", "0.5"]), ("match", [])):
@@ -481,7 +484,7 @@ class TestCliRobustness:
         path = fx["out"] / "match_train.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         header = lines[0].split(",")
-        row = next(n for n, line in enumerate(lines[1:], start=1) if line.split(",")[2] != "0")
+        row = next(n for n, line in enumerate(lines[1:], start=1) if line.split(",")[2] == "1")
         cells = lines[row].split(",")
         cells[header.index(column)] = value
         lines[row] = ",".join(cells)
@@ -756,6 +759,14 @@ def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
     (["probe-shell", "--config", "{config}", "--seed", "2.5"], "seed must be an integer, got '2.5' from --seed"),
     (["split", "--config", "{config}", "--workers", "two"], "workers must be an integer, got 'two'"),
     (["split", "--config", "{config}", "--test-fraction", "x"], "test_fraction must be a number in [0, 1]"),
+    # int() and float() read "_" as digit grouping ("2_00" as 200): a value holding one is refused
+    (["probe-shell", "--config", "{config}", "--count", "2_00"], "count must be an integer, got '2_00' from --count"),
+    (["probe-shell", "--config", "{config}", "--seed", "1_0"], "seed must be an integer, got '1_0' from --seed"),
+    (["split", "--config", "{config}", "--test-fraction", "0_5"],
+     "test_fraction must be a number in [0, 1], got '0_5' from --test-fraction"),
+    (["train", "--config", "{config}", "--l2", "1_0"], "l2 must be a number, got '1_0' from --l2"),
+    (["probe-grid", "--config", "{config}", "--x", "0", "1", "2_5"],
+     "x must be [low, high, count], got ['0', '1', '2_5'] from --x"),
     (["probe-grid", "--config", "{config}", "--x", "0", "1"], "argument --x: expected 3 arguments"),
     (["split", "--config", "{config}", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["split", "--config", "{config}", "--d", "0.9"], "unrecognized arguments: --d 0.9"),

@@ -234,6 +234,42 @@ def rows_with_extreme_ranges(draw):
     return rows("a"), rows("b"), RangeTable(ranges=ranges, bounds=bounds)
 
 
+@st.composite
+def range_sources(draw):
+    """One to three sources over two to five features: cells missing at random, 0.0 and -0.0, NaN as
+    only a hand-built Sample holds it, and a last feature that one row at most carries."""
+    schema = make_schema(draw(st.integers(2, 5)), 0)
+    names = schema.similarity_features
+    cell = st.none() | st.sampled_from([0.0, -0.0, 1.0, -2.5, math.nan]) | st.floats(allow_nan=False)
+    sources = [[{n: v for n in names[:-1] if (v := draw(cell)) is not None}
+                for _ in range(draw(st.integers(0, 4)))]
+               for _ in range(draw(st.integers(1, 3)))]
+    cells = [features for rows in sources for features in rows]
+    if cells:
+        cells[draw(st.integers(0, len(cells) - 1))][names[-1]] = draw(st.sampled_from([0.0, -0.0]) | finite)
+    return schema, [Dataset(schema, [make_sample(f"s{k}r{i}", features) for i, features in enumerate(rows)],
+                            provenance=f"source {k}" if k else "")
+                    for k, rows in enumerate(sources)]
+
+
+def numpy_ranges(sources: list[Dataset], schema) -> RangeTable:
+    """compute_ranges as the numpy formula it replaced: the first nanargmin and nanargmax of the pooled matrix."""
+    names = schema.similarity_features
+    x = np.vstack([feature_matrix(data.rows, names) for data in sources])
+    missing = [name for name, empty in zip(names, np.isnan(x).all(axis=0)) if empty]
+    if missing:
+        raise KernelError(f"features with no observed values in any source: {', '.join(missing)}")
+    columns = np.arange(len(names))
+    lo = x[np.nanargmin(x, axis=0), columns].tolist()
+    hi = x[np.nanargmax(x, axis=0), columns].tolist()
+    ranges = {name: h - l for name, l, h in zip(names, lo, hi)}
+    bounds = {name: (l, h) for name, l, h in zip(names, lo, hi)}
+    total_rows = sum(len(d) for d in sources)
+    labels = [d.provenance or "<unnamed>" for d in sources]
+    source = f"pooled over {len(sources)} dataset(s), {total_rows} rows: {'; '.join(labels)}"
+    return RangeTable(ranges=ranges, bounds=bounds, source=source)
+
+
 def bits(value: float) -> int:
     return int(np.float64(value).view(np.int64))
 
@@ -276,6 +312,21 @@ class TestKernelProperties:
                     assert math.isnan(block[i, j])
                 else:
                     assert bits(block[i, j]) == bits(expected)
+
+    @given(range_sources())
+    @settings(max_examples=300, deadline=None)
+    def test_compute_ranges_equals_numpy_formula_bits(self, case):
+        schema, sources = case
+
+        def outcome(compute):
+            try:
+                table = compute(sources, schema)
+            except KernelError as err:
+                return str(err)
+            return ([(name, bits(spread)) for name, spread in table.ranges.items()],
+                    [(name, bits(lo), bits(hi)) for name, (lo, hi) in table.bounds.items()], table.source)
+
+        assert outcome(compute_ranges) == outcome(numpy_ranges)
 
     @given(sample_pair_with_ranges())
     @settings(max_examples=150, deadline=None)

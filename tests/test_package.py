@@ -142,12 +142,15 @@ class TestNumpyLoadsOnlyWhereItComputes:
         assert "probe-shell" in result.stdout
         assert "numpy" not in imported(result)
 
-    @pytest.mark.parametrize("command", ["split", "report"])
+    @pytest.mark.parametrize("command", ["split", "ranges", "evaluate", "report"])
     def test_commands_without_arrays(self, fixture, command):
         result = child("-m", "simlabel", command, "--config", str(fixture["config"]))
         assert result.stdout.startswith(f"{command}:")
         assert "numpy" not in imported(result)
 
-    def test_ranges_does_load_numpy(self, fixture):
-        result = child("-m", "simlabel", "ranges", "--config", str(fixture["config"]))
+    # the control: a command that computes with arrays, or reads a match file into them, still loads numpy
+    @pytest.mark.parametrize("command", ["calibrate", "augment"])
+    def test_commands_with_arrays(self, fixture, command):
+        result = child("-m", "simlabel", command, "--config", str(fixture["config"]))
+        assert result.stdout.startswith(f"{command}:")
         assert "numpy" in imported(result)
