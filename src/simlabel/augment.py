@@ -54,8 +54,7 @@ def build_similar_dataset(matches: Matches, unlabeled: Dataset) -> Dataset:
                 matched_count=counts[j],
             )
         )
-    provenance = f"similar samples ({len(rows)} confident of {len(matches)} matches) from {unlabeled.provenance or '<unnamed>'}"
-    return Dataset(schema=unlabeled.schema, rows=rows, provenance=provenance)
+    return Dataset(unlabeled.schema, rows)
 
 
 def merge_datasets(real: Dataset, similar: Dataset) -> Dataset:
@@ -69,5 +68,4 @@ def merge_datasets(real: Dataset, similar: Dataset) -> Dataset:
     if len(set(ids)) != len(ids):
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         raise AugmentError(f"duplicate ids after merge: {', '.join(dupes[:10])}")
-    provenance = f"{real.provenance or '<real>'} + {len(similar.rows)} similar rows"
-    return Dataset(schema=real.schema, rows=merged_rows, provenance=provenance)
+    return Dataset(real.schema, merged_rows)

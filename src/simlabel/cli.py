@@ -372,7 +372,7 @@ def cmd_score(run: Run) -> str:
                 f"ids appear in both the real and similar test sets: {sorted(clashes)[:5]}"
             )
         rows.extend(similar.rows)
-    union = Dataset(schema=run.schema, rows=rows, provenance="scoring union")
+    union = Dataset(run.schema, rows)
     written = []
     for model_path, scores_name, label in (
         (run.artifact("model_plain.json"), "scores_plain.csv", MODEL_NAME_PLAIN),

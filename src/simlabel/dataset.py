@@ -229,7 +229,10 @@ class Sample:
 
 @dataclass
 class Dataset:
-    """Ordered, schema-conforming rows with unique ids."""
+    """Ordered, schema-conforming rows with unique ids.
+
+    `provenance` is the file the dataset was loaded from, empty for a derived one.
+    """
 
     schema: FeatureSchema
     rows: list[Sample]
@@ -237,9 +240,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __iter__(self) -> Iterator[Sample]:
-        return iter(self.rows)
 
     def ids(self) -> list[str]:
         return [row.id for row in self.rows]
@@ -418,19 +418,12 @@ def time_holdout_split(data: Dataset, test_fraction: float) -> tuple[Dataset, Da
     if not data.rows:
         raise DataError("cannot split an empty dataset")
 
-    n = len(data.rows)
     # round() undoes binary representation error in decimal fractions
     # (e.g. 0.07 * 100 is slightly above 7.0) before the ceiling is taken
-    target = math.ceil(round(test_fraction * n, 9))
+    target = math.ceil(round(test_fraction * len(data.rows), 9))
     if target == 0:
-        train = Dataset(data.schema, list(data.rows), f"{data.provenance} | holdout train (all rows, fraction 0)")
-        test = Dataset(data.schema, [], f"{data.provenance} | holdout test (empty, fraction 0)")
-        return train, test
+        return Dataset(data.schema, list(data.rows)), Dataset(data.schema, [])
 
     holdout = sorted((row.timestamp for row in data.rows), reverse=True)[target - 1]
-    train_rows = [row for row in data.rows if row.timestamp < holdout]
-    test_rows = [row for row in data.rows if row.timestamp >= holdout]
-    iso = holdout.isoformat()
-    train = Dataset(data.schema, train_rows, f"{data.provenance} | holdout train (< {iso})")
-    test = Dataset(data.schema, test_rows, f"{data.provenance} | holdout test (>= {iso})")
-    return train, test
+    return (Dataset(data.schema, [row for row in data.rows if row.timestamp < holdout]),
+            Dataset(data.schema, [row for row in data.rows if row.timestamp >= holdout]))

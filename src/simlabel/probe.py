@@ -99,7 +99,14 @@ def probability_grid(
         lo, hi, count = spec
         if count < 1:
             raise ProbeError(f"{name} axis needs at least one point")
-        return tuple(float(v) for v in np.linspace(lo, hi, int(count)))
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # a span past the float range
+                values = np.linspace(lo, hi, int(count))
+        except ValueError as err:  # numpy refuses a count past its index range before allocating
+            raise ProbeError(f"{name} axis cannot have {count} points: {err}") from err
+        if not np.isfinite(values).all():
+            raise ProbeError(f"{name} axis from {lo} to {hi} has values that are not finite")
+        return tuple(values.tolist())
 
     x_values = axis(x_axis, "x")
     y_values = axis(y_axis, "y")
@@ -228,8 +235,10 @@ def similarity_shell(
     lows = np.array([ranges.bounds[f][0] for f in vary], dtype=np.float64)
     highs = np.array([ranges.bounds[f][1] for f in vary], dtype=np.float64)
 
-    values = np.empty((n, k))
-    similarity = np.empty(n)
+    try:
+        values, similarity = np.empty((n, k)), np.empty(n)
+    except ValueError as err:  # numpy refuses a count past its index range before allocating
+        raise ProbeError(f"cannot draw {n} shell samples: {err}") from err
     pending = np.arange(n, dtype=np.uint64)
     streams = _streams(seed, pending)
     for attempt in range(MAX_SHELL_ATTEMPTS):

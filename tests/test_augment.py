@@ -142,6 +142,12 @@ class TestMergeDatasets:
         assert len(merged) == 2
         assert {row.id for row in merged.rows} == {"x", f"{SIMILAR_ID_PREFIX}x"}
 
+    def test_real_id_that_carries_the_similar_prefix_is_refused(self):
+        real = Dataset(SCHEMA, [make_sample(f"{SIMILAR_ID_PREFIX}u1", {"f0": 0.0, "f1": 0.0}, label=1)])
+        similar = build_similar_dataset(as_matches([match("u1", 1)]), unlabeled_rows(3))
+        with pytest.raises(AugmentError, match=f"^duplicate ids after merge: {SIMILAR_ID_PREFIX}u1$"):
+            merge_datasets(real, similar)
+
     def test_schema_mismatch_rejected(self):
         real = self.real_rows(2)
         other = build_similar_dataset(as_matches([]), Dataset(make_schema(1, 0), [], "other"))

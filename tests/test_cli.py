@@ -579,6 +579,29 @@ class TestCliRobustness:
         assert not (fx["out"] / "model_plain.json").exists()
         assert not list(fx["out"].glob("shell_*"))
 
+    # a count numpy refuses before allocating anything, or an axis whose span overflows a float;
+    # in-process, a numpy RuntimeWarning would fail the test (pytest turns warnings into errors)
+    @pytest.mark.parametrize("command, flags, probe, message", [
+        ("probe-shell", ["--count", "100000000000000000000"], {},
+         "cannot draw 100000000000000000000 shell samples"),
+        ("probe-shell", [], {"count": 1e20}, "cannot draw 100000000000000000000 shell samples"),
+        ("probe-grid", ["--x", "0", "1", "100000000000000000000"], {},
+         "x axis cannot have 100000000000000000000 points"),
+        ("probe-grid", [], {"y": [0, 1, 1e20]}, "y axis cannot have 100000000000000000000 points"),
+        ("probe-grid", ["--x", " -1e308", "1e308", "3"], {}, "x axis from -1e+308 to 1e+308 has values that are not finite"),
+        ("probe-grid", [], {"x": [-1e308, 1e308, 3]}, "x axis from -1e+308 to 1e+308 has values that are not finite"),
+    ], ids=["--count", "count", "--x", "y", "--x-span", "x-span"])
+    def test_probe_size_or_span_numpy_cannot_hold_exits_cleanly(self, tmp_path, capsys, command, flags, probe,
+                                                               message):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10,
+                                    extra_config={"probe": {"sample_id": "l0000", "count": 64, **probe}})
+        for step in PIPELINE[:6]:
+            assert main([step, "--config", str(fx["config"])]) == 0
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"]), *flags]) == 1
+        assert one_error_line(capsys)["message"].startswith(message)  # numpy's own reason may follow
+        assert not list(fx["out"].glob("probe_grid_*")) and not list(fx["out"].glob("shell_*"))
+
     # a UTF-16 byte-order mark before the header, or a Latin-1 cell after the valid rows
     @pytest.mark.parametrize("bad, at_start", [(b"\xff\xfe", True), (b"caf\xe9\n", False)],
                              ids=["bom-first", "latin1-last"])

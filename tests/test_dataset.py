@@ -18,6 +18,7 @@ from simlabel.dataset import (
     FeatureSchema,
     Role,
     Sample,
+    atomic_write_text,
     csv_text,
     dataset_to_csv_text,
     load_dataset,
@@ -543,3 +544,12 @@ class TestTimeHoldoutSplit:
             boundary = min(r.timestamp for r in test.rows)
             remaining = sum(1 for r in test.rows if r.timestamp > boundary)
             assert remaining < target
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        atomic_write_text(path, "new\ud800\n")  # a lone surrogate has no UTF-8 form
+    assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

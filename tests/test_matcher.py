@@ -637,6 +637,14 @@ class TestMatchSerialization:
         assert match_dicts(loaded, schema.estimation_features) == match_dicts(results, schema.estimation_features)
         assert loaded.top_ids.shape == loaded.top_sims.shape == (len(results), 0)
 
+    @pytest.mark.parametrize("row", ["u1,0.5,1,2,1.0", "u1,0.5,1,2,1.0,2.0,3.0"])
+    def test_row_with_the_wrong_column_count_is_refused(self, tmp_path, row):
+        path = tmp_path / "match.csv"
+        path.write_text(f"id,t,y_hat,matched_count,g0,g1\nu0,0,0,0,,\n{row}\n", encoding="utf-8")
+        columns = len(row.split(","))
+        with pytest.raises(MatcherError, match=f": row 2 has {columns} columns$"):
+            load_matches(path, ["g0", "g1"])
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(MATCH_ROW, max_size=6))
     @example([("u", 5e-324, True, 2**53, [-0.0, math.nan]), ("", math.nan, True, 0, [1.0, 5e-324]),

@@ -161,6 +161,24 @@ class TestTrainLogistic:
         assert "f1" not in model.weights
         assert "f0" in model.weights
 
+    def test_feature_missing_from_every_row_dropped_with_warning(self):
+        rows = [make_sample(f"s{i}", {"f0": float(i), "f1": 1.0 - i}, label=-1 if i % 2 == 0 else 1)
+                for i in range(6)]
+        with pytest.warns(UserWarning, match="dropping zero-variance or empty features: g0$"):
+            model = train_logistic(Dataset(SCHEMA, rows))
+        assert set(model.weights) == {"f0", "f1"}
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"l1": -0.1}, "regularization strengths must be non-negative"),
+        ({"l2": -1.0}, "regularization strengths must be non-negative"),
+        ({"max_iter": 0}, "iteration budget must be at least 1"),
+        ({"tol": 0.0}, "tolerance must be positive"),
+        ({"tol": -1e-8}, "tolerance must be positive"),
+    ])
+    def test_config_guards(self, fields, message):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            TrainConfig(**fields)
+
     def test_unknown_feature_rejected(self):
         data = separable_1d()
         with pytest.raises(ModelError, match="not in schema"):
@@ -310,6 +328,17 @@ class TestScoreFiles:
         path = tmp_path / "scores.csv"
         path.write_text(f"id,score\na,0.25\nb,{cell}\n", encoding="utf-8")
         with pytest.raises(ModelError, match=f"row 2: score is not numeric: '{cell}'"):
+            load_external_scores(path)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("b", "row 2: expected 2 columns, found 1"),
+        ("b,0.5,x", "row 2: expected 2 columns, found 3"),
+        (" ,0.5", "row 2: empty id"),
+    ])
+    def test_malformed_row_named(self, tmp_path, line, problem):
+        path = tmp_path / "scores.csv"
+        path.write_text(f"id,score\na,0.25\n{line}\n", encoding="utf-8")
+        with pytest.raises(ModelError, match=f"1 invalid rows: {problem}$"):
             load_external_scores(path)
 
     def test_header_enforced(self, tmp_path):

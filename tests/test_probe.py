@@ -500,6 +500,35 @@ class TestShellStream:
             similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=10, seed=1)
         assert rounds == [10] * MAX_SHELL_ATTEMPTS
 
+    @given(data=st.data(), d=st.floats(0.0, 1.0), n=st.integers(1, 20), seed=st.integers(0, 2**70))
+    @settings(max_examples=200, deadline=None)
+    def test_any_range_table_gives_clamped_draws_at_the_oracle_similarity(self, data, d, n, seed):
+        names = [f"f{j}" for j in range(data.draw(st.integers(2, 5)))]
+        lows = {f: data.draw(st.floats(-3.0, 3.0)) for f in names}
+        highs = {f: lows[f] + data.draw(st.one_of(st.just(0.0), st.floats(0.01, 4.0))) for f in names}
+        ranges = RangeTable(ranges={f: highs[f] - lows[f] for f in names},
+                            bounds={f: (lows[f], highs[f]) for f in names})
+        vary = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))
+        # a base inside the bounds that may lack any feature it does not vary
+        present = [f for f in names if f in vary or data.draw(st.booleans())]
+        base = make_sample("b", {f: min(lows[f] + data.draw(st.floats(0.0, 1.0)) * (highs[f] - lows[f]), highs[f])
+                                 for f in present})
+        before = dict(base.features)
+        shell = similarity_shell(base, vary, ranges, d=d, n=n, seed=seed)
+        assert shell.values.shape == (n, len(vary))
+        for j, name in enumerate(vary):
+            lo, hi = ranges.bounds[name]
+            assert np.all((lo <= shell.values[:, j]) & (shell.values[:, j] <= hi))
+        assert base.features == before
+        fixed = [f for f in names if f not in vary]
+        rows = shell_to_csv_text(shell, names).splitlines()[1:]
+        for row in rows:
+            cells = dict(zip(names, row.split(",")[1:]))
+            assert [cells[f] for f in fixed] == [repr(before[f]) if f in before else "" for f in fixed]
+        for point, similarity in zip(draws(shell), shell.similarity.tolist()):
+            assert similarity.hex() == gower_oracle(point, base.features, ranges.ranges).hex()
+            assert similarity >= d
+
     def test_seeds_of_any_size_give_distinct_shells(self):
         seeds = (0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**100)
         shells = {seed: similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=seed)
