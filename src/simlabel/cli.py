@@ -33,7 +33,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any
 
-from .dataset import Dataset, Sample, load_dataset, load_schema, read_json, write_dataset
+from .dataset import Dataset, Sample, load_dataset, load_schema, number, read_json, write_dataset
 from .dataset import atomic_write_text, time_holdout_split
 from .errors import ConfigError, MissingArtifactError, SimlabelError
 
@@ -103,27 +103,20 @@ OPTIONS = (
 )
 
 
-def _ungrouped(value):
-    """The value; a string holding "_" is refused, which float() and int() read as digit grouping ("2_00" as 200)."""
-    if isinstance(value, str) and "_" in value:
-        raise ValueError(value)
-    return value
-
-
 def _int(value, base: Path) -> int:
     """An integer; a number that is not whole (2.5, inf, nan) is refused, not truncated."""
-    if isinstance(_ungrouped(value), str):
+    if isinstance(value, str):
         try:
-            return int(value)
+            return number(value, int)
         except ValueError:
-            value = float(value)
+            value = number(value)
     if not float(value).is_integer():
         raise ValueError(value)
     return int(value)
 
 
 def _unit(value, base: Path) -> float:
-    value = float(_ungrouped(value))
+    value = number(value)
     if not 0.0 <= value <= 1.0:
         raise ValueError(value)
     return value
@@ -132,7 +125,7 @@ def _unit(value, base: Path) -> float:
 def _axis(value, base: Path) -> tuple[float, float, int]:
     if not isinstance(value, (list, tuple)) or len(value) != 3 or any(isinstance(v, bool) for v in value):
         raise ValueError(value)
-    low, high = float(_ungrouped(value[0])), float(_ungrouped(value[1]))
+    low, high = number(value[0]), number(value[1])
     if not math.isfinite(low) or not math.isfinite(high):
         raise ValueError(value)
     return (low, high, _int(value[2], base))
@@ -155,7 +148,7 @@ def _scores(value, base: Path) -> list[tuple[str, Path]]:
 # must be); a flag's value reaches the parser as the string (three strings for an axis)
 KINDS = {
     "int": (_int, "an integer"),
-    "float": (lambda value, base: float(_ungrouped(value)), "a number"),
+    "float": (lambda value, base: number(value), "a number"),
     "unit": (_unit, "a number in [0, 1]"),
     "str": (lambda value, base: str(value), "a string"),
     "path": (lambda value, base: base / str(value), "a path"),
@@ -535,17 +528,30 @@ def build_parser() -> argparse.ArgumentParser:
         for option in OPTIONS:
             if option.flag and (option.commands is None or command in option.commands):
                 shape = {"metavar": option.flag[2:].upper().replace("-", "_")}
-                if option.kind == "axis":
-                    shape = {"nargs": 3, "metavar": ("LO", "HI", "N")}
+                if option.kind == "axis":  # str.strip undoes `_negative_axis_values`' space
+                    shape = {"nargs": 3, "metavar": ("LO", "HI", "N"), "type": str.strip}
                 p.add_argument(option.flag, dest=option.name, default=None, help=option.help, **shape)
     return parser
+
+
+def _negative_axis_values(argv: list[str]) -> list[str]:
+    """`argv` with a space before each negative number among the three values after --x or --y.
+
+    argparse reads "-1e3" as a flag (only a plain decimal such as "-1.5" passes as a negative
+    number), but reads any argument holding a space as a value.
+    """
+    marked = list(argv)
+    for at, arg in enumerate(argv):
+        if arg in ("--x", "--y"):
+            marked[at + 1:at + 4] = [f" {v}" if re.match(r"-\.?\d", v) else v for v in argv[at + 1:at + 4]]
+    return marked
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _DISPATCH else None  # a usage error names it too
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_negative_axis_values(argv))
         summary = _DISPATCH[args.command][0](load_config(args.config, args))
     except (SimlabelError, OSError, MemoryError) as err:
         # a bare MemoryError has no text; numpy's names the allocation it refused

@@ -5,6 +5,11 @@ roles come from a separate JSON config mapping column name to role. Missing
 cells are empty strings (the schema is numeric-only, so this is unambiguous),
 labels are strictly -1 or +1 integers, and timestamps are ISO-8601.
 
+Two rules hold for every text file the program reads, and for flag and
+config values: `number` refuses a numeric text holding "_" (Python's `float`
+and `int` read "1_0" as 10), and `id_violation` refuses an empty id and an id
+seen on an earlier row.
+
 Every CSV file is read through `read_csv` and written through `csv_text`, and
 every JSON artifact is written through `write_json`, except the `match`
 contributor sidecars: `matcher.contributors_to_json_text` writes those in the
@@ -162,6 +167,22 @@ def json_count(value, what: str) -> int:
     return int(value)
 
 
+def number(text, kind: type = float):
+    """`kind(text)`; a string holding "_" is refused, which `float` and `int` read as digit grouping ("1_0" as 10)."""
+    if isinstance(text, str) and "_" in text:
+        raise ValueError(f"digit grouping '_' is not a number: {text!r}")
+    return kind(text)
+
+
+def id_violation(sample_id: str, row_num: int, seen: dict[str, int]) -> str | None:
+    """Row `row_num`'s violation if its id is empty or in `seen` (id -> first row), else None; a new id joins `seen`."""
+    if not sample_id:
+        return f"row {row_num}: empty id"
+    if sample_id in seen:
+        return f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen[sample_id]})"
+    seen[sample_id] = row_num
+
+
 def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """The CSV artifact format: one header row, then the rows, each ending in "\\n".
 
@@ -297,14 +318,8 @@ def load_dataset(
 
         found = len(violations)
         sample_id = cells[id_at].strip()
-        if not sample_id:
-            violations.append(f"row {row_num}: empty id")
-        elif sample_id in seen_ids:
-            violations.append(
-                f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen_ids[sample_id]})"
-            )
-        else:
-            seen_ids[sample_id] = row_num
+        if problem := id_violation(sample_id, row_num, seen_ids):
+            violations.append(problem)
 
         timestamp = None
         ts_text = cells[ts_at].strip()
@@ -326,7 +341,7 @@ def load_dataset(
         label_text = cells[label_at].strip()
         if label_text:
             try:
-                label = int(label_text) if "_" not in label_text else None  # int() reads "0_1" as 1
+                label = number(label_text, int)
             except ValueError:
                 label = None
             if label not in (-1, 1):
@@ -339,8 +354,8 @@ def load_dataset(
             text = cells[at].strip()
             if not text:
                 continue
-            try:
-                value = float(text) if "_" not in text else math.nan  # float() reads "1_0" as 10.0
+            try:  # `number`'s rule inline: a call per cell would slow the program's hottest loop
+                value = float(text) if "_" not in text else math.nan
             except ValueError:
                 value = math.nan
             if math.isfinite(value):

@@ -116,7 +116,7 @@ def compute_ranges(
     bounds = {name: (float(min(values)), float(max(values))) for name, values in columns.items()}
     ranges = {name: hi - lo for name, (lo, hi) in bounds.items()}
     total_rows = sum(len(d) for d in sources)
-    labels = [d.provenance or "<unnamed>" for d in sources]
+    labels = [Path(d.provenance).name or "<unnamed>" for d in sources]  # the same bytes wherever the inputs live
     source = f"pooled over {len(sources)} dataset(s), {total_rows} rows: {'; '.join(labels)}"
     return RangeTable(ranges=ranges, bounds=bounds, source=source)
 

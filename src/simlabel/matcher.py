@@ -32,7 +32,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, csv_text, feature_matrix, json_number, read_csv, read_json, write_json
+from .dataset import Dataset, Sample, csv_text, feature_matrix, json_number, number, read_csv, read_json, write_json
 from .errors import KernelError, MatcherError
 from .kernel import RangeTable, similarity_block
 
@@ -363,6 +363,14 @@ def matches_to_csv_text(matches: Matches, estimation_features: Sequence[str]) ->
     return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], table.tolist())
 
 
+def _cell(name: str, text: str, kind: type = float):
+    """A match-file cell by `number`, an empty float cell as NaN; a refusal names the column."""
+    try:
+        return number(text, kind) if text or kind is int else math.nan
+    except ValueError as err:
+        raise ValueError(f"{name}: {err}") from err
+
+
 def load_matches(path: str | Path, estimation_features: Sequence[str]) -> Matches:
     """Read a match CSV back, empty cells as NaN, without the contributors (they live in the sidecar).
 
@@ -379,13 +387,9 @@ def load_matches(path: str | Path, estimation_features: Sequence[str]) -> Matche
         if len(cells) != len(expected):
             raise MatcherError(f"{path}: row {row_num} has {len(cells)} columns")
         try:
-            vote = float(cells[1]) if cells[1] else math.nan
-            label, count = int(cells[2]), int(cells[3])
-            values = [float(text) if text else math.nan for text in cells[4:]] if label else []
-            parsed = zip(expected[1:], cells[1:4 + len(values)])  # an abstaining row's imputed cells are ignored
-            grouped = [f"{name} {text!r}" for name, text in parsed if "_" in text]
-            if grouped:  # float() and int() read digit grouping: "0.7_5" as 0.75 and "1_0" as 10
-                raise ValueError(f"digit grouping '_' is not a number: {', '.join(grouped)}")
+            vote = _cell("t", cells[1])
+            label, count = _cell("y_hat", cells[2], int), _cell("matched_count", cells[3], int)
+            values = [_cell(name, text) for name, text in zip(estimation_features, cells[4:])] if label else []
             if cells[1] and not -1.0 <= vote <= 1.0:
                 raise ValueError(f"t must be a number in [-1, 1], got {cells[1]!r}")
             if label not in (-1, 0, 1):

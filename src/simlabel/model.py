@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .dataset import Dataset, Sample, atomic_write_text, csv_text, feature_matrix, read_csv
-from .dataset import json_count, json_number, read_json, write_json
+from .dataset import id_violation, json_count, json_number, number, read_json, write_json
 from .errors import ModelError
 
 if TYPE_CHECKING:  # annotations only: score files and model JSON load without numpy, so `evaluate` never loads it
@@ -344,19 +344,11 @@ def load_external_scores(path: str | Path, model_name: str | None = None) -> Sco
             violations.append(f"row {row_num}: expected 2 columns, found {len(cells)}")
             continue
         sample_id, score_text = cells[0].strip(), cells[1].strip()
-        if not sample_id:
-            violations.append(f"row {row_num}: empty id")
+        if problem := id_violation(sample_id, row_num, seen):
+            violations.append(problem)
             continue
-        if sample_id in seen:
-            violations.append(
-                f"row {row_num}: duplicate id {sample_id!r} (first seen on row {seen[sample_id]})"
-            )
-            continue
-        seen[sample_id] = row_num
         try:
-            if "_" in score_text:  # float() reads the digit grouping "0.2_5" as 0.25
-                raise ValueError(score_text)
-            score = float(score_text)
+            score = number(score_text)
         except ValueError:
             violations.append(f"row {row_num}: score is not numeric: {score_text!r}")
             continue

@@ -475,8 +475,10 @@ class TestCliRobustness:
     @pytest.mark.parametrize("column, value", [
         ("y_hat", "7"), ("t", "nan"), ("t", "5.0"), ("t", ""), ("matched_count", "-4"), ("g0", "inf"),
         ("t", "0.7_5"), ("y_hat", "0_1"), ("matched_count", "1_0"), ("g0", "2_0.5"),
+        ("y_hat", "one"), ("matched_count", "x"), ("g0", "abc"),
     ], ids=["y_hat-7", "t-nan", "t-5", "t-empty", "negative-matched-count", "infinite-imputed",
-            "t-grouped", "y_hat-grouped", "matched-count-grouped", "imputed-grouped"])
+            "t-grouped", "y_hat-grouped", "matched-count-grouped", "imputed-grouped",
+            "y_hat-word", "matched-count-word", "imputed-word"])
     def test_corrupt_match_row_exits_cleanly(self, tmp_path, capsys, column, value):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=20, n_unlabeled_per=60)
         for step, flags in (("split", []), ("ranges", []), ("calibrate", ["--c", "0.5"]), ("match", [])):
@@ -804,6 +806,37 @@ def test_usage_and_flag_errors_give_one_json_line(tmp_path, capsys, argv, messag
     assert message in error["message"]
     assert error["command"] == (argv[0] if argv[0] != "splt" else None)
     assert not list(fx["out"].glob("*"))
+
+
+# argparse reads "-1e3" as a flag and only a plain decimal ("-1.5", "-.5") as a negative number
+@pytest.mark.parametrize("x, y", [
+    (["-1e3", "1", "3"], ["-2E1", "-.5", "2"]),
+    (["-1.5", "-1e-3", "3"], ["0", "1", "2"]),
+], ids=["exponent-low", "exponent-high"])
+def test_probe_grid_takes_negative_axis_ends_in_any_number_form(tmp_path, x, y):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    for command in ("split", "ranges", "calibrate", "match", "augment", "train"):
+        assert main([command, "--config", str(fx["config"])]) == 0
+    grid = fx["out"] / "probe_grid_l0000.csv"
+    assert main(["probe-grid", "--config", str(fx["config"]), "--x", *x, "--y", *y]) == 0
+    from_flags = grid.read_bytes()
+    payload = json.loads(fx["config"].read_text())
+    payload["probe"] |= {"x": [float(x[0]), float(x[1]), int(x[2])], "y": [float(y[0]), float(y[1]), int(y[2])]}
+    fx["config"].write_text(json.dumps(payload))
+    assert main(["probe-grid", "--config", str(fx["config"])]) == 0
+    assert grid.read_bytes() == from_flags
+    assert from_flags.decode().splitlines()[1].startswith(f"{float(x[0])!r},{float(y[0])!r},")
+
+
+def test_ranges_json_is_the_same_for_a_relative_and_an_absolute_config(tmp_path, monkeypatch):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+    monkeypatch.chdir(tmp_path.parent)
+    written = []
+    for config in (Path(tmp_path.name) / "config.json", fx["config"]):
+        assert main(["ranges", "--config", str(config)]) == 0
+        written.append((fx["out"] / "ranges.json").read_bytes())
+    assert written[0] == written[1]
+    assert json.loads(written[0])["source"].endswith(": labeled.csv; unlabeled.csv")
 
 
 def test_help_still_exits_zero(capsys):

@@ -23,11 +23,15 @@ from simlabel.dataset import (
     dataset_to_csv_text,
     load_dataset,
     load_schema,
+    number,
     read_csv,
     time_holdout_split,
     write_dataset,
 )
-from simlabel.errors import DataError, SchemaError
+from simlabel.cli import build_parser, load_config
+from simlabel.errors import ConfigError, DataError, MatcherError, ModelError, SchemaError
+from simlabel.matcher import load_matches
+from simlabel.model import load_external_scores
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -473,6 +477,75 @@ class TestLoaderAgreesWithTheFlaggedLoop:
         path = write(tmp_path_factory.getbasetemp(), HEADER + "".join(",".join(cells) + "\n" for cells in lines))
         assert load_outcome(load_dataset, path, strict_labeled) == load_outcome(
             flagged_load_dataset, path, strict_labeled)
+
+
+def resolve(tmp_path, argv, payload):
+    """A command's settings from `argv`'s flags over the config file `payload`."""
+    config = write(tmp_path, json.dumps(payload), "config.json")
+    return load_config(config, build_parser().parse_args([argv[0], "--config", str(config), *argv[1:]]))
+
+
+# entry point -> (its refusal, and what hands it a text); each reads the plain "1" as a valid value
+ENTRY_POINTS = {
+    "number": (ValueError, lambda tmp_path, text: number(text)),
+    "number-int": (ValueError, lambda tmp_path, text: number(text, int)),
+    "feature-cell": (DataError, lambda tmp_path, text: load_dataset(
+        write(tmp_path, HEADER + f"a,2024-01-01,1,{text},0,\n"), SCHEMA)),
+    "label-cell": (DataError, lambda tmp_path, text: load_dataset(
+        write(tmp_path, HEADER + f"a,2024-01-01,{text},0,0,\n"), SCHEMA)),
+    "score-cell": (ModelError, lambda tmp_path, text: load_external_scores(write(tmp_path, f"id,score\na,{text}\n"))),
+    **{f"match-{column}": (MatcherError, lambda tmp_path, text, cells=cells: load_matches(
+        write(tmp_path, f"id,t,y_hat,matched_count,g0\nu,{cells.format(text)}\n"), ["g0"]))
+       for column, cells in [("t", "{},1,1,0.5"), ("y_hat", "0.5,{},1,0.5"), ("matched_count", "0.5,1,{},0.5"),
+                             ("imputed", "0.5,1,1,{}")]},
+    "int-flag": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["probe-shell", "--seed", text], {})),
+    "float-flag": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["train", "--l2", text], {})),
+    "unit-flag": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["split", "--test-fraction", text], {})),
+    "axis-flag": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["probe-grid", "--x", text, "2", "3"], {})),
+    "int-config": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["probe-shell"], {"seed": text})),
+    "float-config": (ConfigError, lambda tmp_path, text: resolve(tmp_path, ["train"], {"train": {"l2": text}})),
+    "unit-config": (ConfigError, lambda tmp_path, text: resolve(
+        tmp_path, ["split"], {"split": {"test_fraction": text}})),
+    "axis-config": (ConfigError, lambda tmp_path, text: resolve(
+        tmp_path, ["probe-grid"], {"probe": {"x": [text, "2", "3"]}})),
+}
+# int() and float() read each of these as 1, since "_" is digit grouping to them
+GROUPED = ["0_1", "00_1", "+0_1", "0_0_1"]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_every_reader_refuses_digit_grouping(self, tmp_path, entry):
+        error, feed = ENTRY_POINTS[entry]
+        feed(tmp_path, "1")
+        for text in GROUPED:
+            with pytest.raises(error):
+                feed(tmp_path, text)
+
+    # the loader's feature loop inlines `number`: it keeps a cell exactly when `number` reads it as a finite float
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.text(alphabet="0123456789_.eE+- infaINF\u0661", max_size=7), min_size=1, max_size=8))
+    @example(["1_0", "_", "1__0", "1_0e-1", " 2.5 ", "-0.0", "nan", "1e999", "\u0661_\u0661", "0x10", ""])
+    def test_feature_cells_follow_number(self, tmp_path_factory, texts):
+        path = write(tmp_path_factory.getbasetemp(), HEADER + "".join(
+            f"r{i},2024-01-01,,{text},,\n" for i, text in enumerate(texts)))
+        kept, refused = {}, []
+        for i, text in enumerate(text.strip() for text in texts):
+            try:
+                value = number(text) if text else None
+            except ValueError:
+                value = math.nan
+            if value is None or math.isfinite(value):
+                kept[f"r{i}"] = {} if value is None else {"f0": value}
+            else:
+                refused.append(f"row {i + 1}: column 'f0' is not a finite number: {text!r}")
+        try:
+            data = load_dataset(path, SCHEMA)
+        except DataError as err:
+            assert err.violations == refused
+        else:
+            assert not refused
+            assert {row.id: repr(row.features) for row in data.rows} == {k: repr(v) for k, v in kept.items()}
 
 
 class TestTimeHoldoutSplit:
