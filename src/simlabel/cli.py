@@ -537,13 +537,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _negative_axis_values(argv: list[str]) -> list[str]:
     """`argv` with a space before each negative number among the three values after --x or --y.
 
-    argparse reads "-1e3" as a flag (only a plain decimal such as "-1.5" passes as a negative
-    number), but reads any argument holding a space as a value.
+    argparse reads "-1e3" or "-inf" as a flag (only a plain decimal such as "-1.5" passes as a
+    negative number), but reads any argument holding a space as a value. "-inf" and "-nan", in any
+    case, are marked too, so the axis kind refuses them by name.
     """
     marked = list(argv)
     for at, arg in enumerate(argv):
         if arg in ("--x", "--y"):
-            marked[at + 1:at + 4] = [f" {v}" if re.match(r"-\.?\d", v) else v for v in argv[at + 1:at + 4]]
+            marked[at + 1:at + 4] = [f" {v}" if re.match(r"-(\.?\d|inf|nan)", v, re.IGNORECASE) else v
+                                     for v in argv[at + 1:at + 4]]
     return marked
 
 

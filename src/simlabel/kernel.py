@@ -4,18 +4,24 @@ Similarity between two samples is the mean, over the similarity features
 present in both, of per-feature scores 1 - |a_k - b_k| / r_k, where r_k is
 the max-minus-min spread of feature k pooled over the reference datasets.
 Per-feature scores are clamped into [0, 1] (synthetic probe values can land
-outside the frozen spread), and features missing in either sample drop out
-of both the sum and the divisor. A range table is computed once per run and
-frozen, so every comparison uses the same normalizers.
+outside the frozen spread), a zero-spread feature scores 1 on exact equality
+and 0 otherwise, and features missing in either sample drop out of both the
+sum and the divisor. A range table is computed once per run and frozen, so
+every comparison uses the same normalizers.
+
+similarity_block is the one implementation of the coefficient: every pair
+of two row blocks. similarity_blocks runs it over a row set in bounded
+blocks and raises on the first pair where it is undefined, and
+gower_similarity is one pair of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .dataset import Dataset, FeatureSchema, Sample, json_number, read_json, write_json
+from .dataset import Dataset, FeatureSchema, Sample, feature_matrix, json_number, read_json, write_json
 from .errors import KernelError
 
 if TYPE_CHECKING:  # annotations only: `ranges` computes with builtins and never loads numpy
@@ -122,38 +128,10 @@ def compute_ranges(
 
 
 def gower_similarity(a: Sample, b: Sample, ranges: RangeTable) -> float:
-    """Mean per-feature similarity over features present in both samples.
-
-    Zero-range features score 1 on exact equality and 0 otherwise (the
-    continuous limit of the formula). The result is always in [0, 1] and the
-    accumulation order is the range table's feature order, so repeated calls
-    are bit-identical.
-    """
-    total = 0.0
-    count = 0
-    a_features = a.features
-    b_features = b.features
-    for name, spread in ranges.ranges.items():
-        va = a_features.get(name)
-        if va is None:
-            continue
-        vb = b_features.get(name)
-        if vb is None:
-            continue
-        if spread == 0.0:
-            score = 1.0 if va == vb else 0.0
-        else:
-            divergence = abs(va - vb) / spread
-            if divergence > 1.0:
-                divergence = 1.0
-            score = 1.0 - divergence
-        total += score
-        count += 1
-    if count == 0:
-        raise KernelError(
-            f"samples {a.id!r} and {b.id!r} share no similarity feature values"
-        )
-    return total / count
+    """The Gower similarity of two samples: one pair of similarity_blocks, which raises where it is undefined."""
+    names = ranges.features()
+    ((_, sims),) = similarity_blocks([a], feature_matrix([a], names), [b], feature_matrix([b], names), ranges, 1)
+    return float(sims[0, 0])
 
 
 def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) -> np.ndarray:
@@ -161,11 +139,14 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
 
     `left` and `right` are feature matrices whose columns follow the range
     table's feature order (`dataset.feature_matrix`), each cell finite or NaN
-    for missing (`load_dataset` refuses infinite cells). Scores are added one
-    feature at a time in that order with the same float operations as
-    gower_similarity, so every entry equals gower_similarity of the two rows
-    exactly. A pair that shares no feature is NaN, where gower_similarity
-    raises.
+    for missing (`load_dataset` refuses infinite cells). For each pair, the
+    scores of the features both rows carry are added one at a time, in that
+    order, from 0.0, and the sum is divided by their count; a feature missing
+    on either side adds to neither. A zero-spread feature scores 1 on exact
+    equality and 0 otherwise, any other 1 - min(|a - b| / spread, 1). So an
+    entry does not depend on the block it was computed in. A pair that shares
+    no feature is NaN (0 / 0), and so is one whose difference overflows in a
+    feature of infinite spread (inf / inf); similarity_blocks names both.
 
     The divisor, the number of features both rows carry, comes from the two
     missing-cell masks once per block: K minus each row's missing count, plus
@@ -174,7 +155,7 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     `fmin` turns into a score of exactly 0 for a finite spread; the sum gains
     0.0, as if the feature were skipped. An infinite spread keeps an explicit
     mask instead, because there an overflowed |a - b| gives inf / inf = NaN,
-    which gower_similarity keeps and `fmin` would hide. Each score goes
+    which must stay NaN and `fmin` would hide. Each score goes
     through one reused buffer. Nothing runs through BLAS (`@`, `dot`,
     `einsum`): a threaded BLAS call on these small shapes can cost far more
     than the elementwise passes it would replace.
@@ -188,8 +169,8 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     total = np.zeros(count.shape)
     score = np.empty(count.shape)
     equal = np.empty(count.shape, dtype=bool)
-    # a spread below the float range overflows to inf and clamps to 1, as in
-    # gower_similarity; a pair with no shared feature is 0 / 0
+    # a difference over a tiny spread overflows to inf and clamps to 1; a pair
+    # with no shared feature is 0 / 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k, spread in enumerate(ranges.ranges.values()):
             a = left[:, k, None]
@@ -206,3 +187,30 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
                 np.fmin(score, 1.0, out=score)
                 total += np.subtract(1.0, score, out=score)
         return np.divide(total, count, out=total)
+
+
+def similarity_blocks(
+    left_rows: Sequence[Sample], left: np.ndarray, right_rows: Sequence[Sample], right: np.ndarray,
+    ranges: RangeTable, block_pairs: int,
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of right rows, in order, as slices with their similarity_block to every left row.
+
+    `left` and `right` are the rows' feature matrices in range-table order.
+    The similarities have left rows on axis 0; a block holds at most
+    `block_pairs` of them, or one right row's when the left rows alone are more.
+    The first NaN pair, in right-row order, raises: it shares no feature, or
+    its difference in a feature of infinite spread overflows.
+    """
+    import numpy as np
+    step = max(1, block_pairs // max(1, len(left)))
+    for start in range(0, len(right), step):
+        block = slice(start, start + step)
+        sims = similarity_block(left, right[block], ranges)
+        if np.isnan(sims).any():
+            j, i = np.argwhere(np.isnan(sims.T))[0]
+            pair = f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r}"
+            with np.errstate(over="ignore"):  # a missing cell makes the difference NaN, not inf
+                k = np.flatnonzero(np.isinf(left[i] - right[start + j]) & np.isinf(list(ranges.ranges.values())))
+            raise KernelError(f"{pair}: their difference in feature {ranges.features()[k[0]]!r} overflows the "
+                              "float range" if k.size else f"{pair} share no similarity feature values")
+        yield block, sims

@@ -8,7 +8,7 @@ Confident estimates also get their estimation-only features reconstructed as
 the similarity-weighted mean over the matched contributors.
 
 All comparisons are strict, so ties at a threshold abstain. Similarities come
-from kernel.similarity_block in blocks of every labeled row against a run of
+from kernel.similarity_blocks in blocks of every labeled row against a run of
 unlabeled rows, at most BLOCK_PAIRS similarities a block. One np.nonzero per
 block lists the contributors, the pairs above d, in labeled-dataset order;
 votes, matched counts and imputations sum only those terms, in that order, so
@@ -28,13 +28,13 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dataset import Dataset, Sample, csv_text, feature_matrix, json_number, number, read_csv, read_json, write_json
-from .errors import KernelError, MatcherError
-from .kernel import RangeTable, similarity_block
+from .dataset import Dataset, csv_text, feature_matrix, json_number, number, read_csv, read_json, write_json
+from .errors import MatcherError
+from .kernel import RangeTable, similarity_blocks
 
 TOP_CONTRIBUTORS_CAP = 10
 # similarities per block: each float64 array over a block takes 2 MiB
@@ -104,37 +104,11 @@ def _labels(labeled: Dataset) -> np.ndarray:
     return np.array([row.label for row in labeled.rows], dtype=np.float64)
 
 
-def _blocks(
-    left_rows: Sequence[Sample], left: np.ndarray, right_rows: Sequence[Sample], right: np.ndarray,
-    ranges: RangeTable,
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Runs of right rows, in order, as slices with their similarity to every left row.
-
-    `left` and `right` are the rows' feature matrices in range-table order.
-    The similarities have left rows on axis 0; a block holds at most
-    BLOCK_PAIRS of them, or one right row's when the left rows alone are more.
-    The first NaN pair, in right-row order, raises: it shares no feature, or
-    its difference in a feature of infinite spread overflows.
-    """
-    step = max(1, BLOCK_PAIRS // max(1, len(left)))
-    for start in range(0, len(right), step):
-        block = slice(start, start + step)
-        sims = similarity_block(left, right[block], ranges)
-        if np.isnan(sims).any():
-            j, i = np.argwhere(np.isnan(sims.T))[0]
-            pair = f"samples {left_rows[i].id!r} and {right_rows[start + j].id!r}"
-            with np.errstate(over="ignore"):  # a missing cell makes the difference NaN, not inf
-                k = np.flatnonzero(np.isinf(left[i] - right[start + j]) & np.isinf(list(ranges.ranges.values())))
-            raise KernelError(f"{pair}: their difference in feature {ranges.features()[k[0]]!r} overflows the "
-                              "float range" if k.size else f"{pair} share no similarity feature values")
-        yield block, sims
-
-
 def _labeled_blocks(unlabeled: Dataset, labeled: Dataset, ranges: RangeTable):
-    """_blocks of every labeled row against runs of unlabeled rows."""
+    """similarity_blocks of every labeled row against runs of unlabeled rows."""
     names = ranges.features()
-    return _blocks(labeled.rows, feature_matrix(labeled.rows, names),
-                   unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges)
+    return similarity_blocks(labeled.rows, feature_matrix(labeled.rows, names),
+                             unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges, BLOCK_PAIRS)
 
 
 def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> np.ndarray:
@@ -146,7 +120,7 @@ def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> np.ndarray:
     x = feature_matrix(rows, ranges.features())
     sims = [np.empty(0)]
     for i in range(len(rows) - 1):
-        for _, block in _blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges):
+        for _, block in similarity_blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges, BLOCK_PAIRS):
             sims.append(block[0])
     return np.concatenate(sims)
 
@@ -252,7 +226,9 @@ def calibrate(
     A given d or c is a manual override and skips its calibration. The
     labeled pairwise similarities and the unlabeled votes at d are each
     computed once and feed the distribution, d, c and the matched fraction.
-    The guards run before either pass.
+    An empty unlabeled dataset and fewer than 2 labeled rows are refused
+    before either pass; a percentile outside [0, 1] only after the labeled
+    pass, by calibrate_similarity_threshold, and not at all when d is given.
     """
     if not unlabeled.rows:
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")

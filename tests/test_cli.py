@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import simlabel.kernel
 import simlabel.matcher
 import simlabel.probe
 from conftest import make_schema, write_pipeline_fixture
@@ -333,13 +334,13 @@ class TestCliRobustness:
         n_train = len(load_dataset(fx["out"] / "train.csv", schema))
         n_pool = len(load_dataset(fx["unlabeled"], schema))
         pairs = []
-        real = simlabel.matcher.similarity_block
+        real = simlabel.kernel.similarity_block
 
         def counted(left, right, ranges):
             pairs.append(len(left) * len(right))
             return real(left, right, ranges)
 
-        monkeypatch.setattr(simlabel.matcher, "similarity_block", counted)
+        monkeypatch.setattr(simlabel.kernel, "similarity_block", counted)
         assert main(["calibrate", "--config", str(fx["config"])]) == 0
         assert sum(pairs) == n_train * (n_train - 1) // 2 + n_train * n_pool
 
@@ -793,6 +794,15 @@ def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
     (["probe-grid", "--config", "{config}", "--x", "0", "1", "2_5"],
      "x must be [low, high, count], got ['0', '1', '2_5'] from --x"),
     (["probe-grid", "--config", "{config}", "--x", "0", "1"], "argument --x: expected 3 arguments"),
+    (["probe-grid", "--config", "{config}", "--x", "0", "1", "--y", "-1", "1", "2"],
+     "argument --x: expected 3 arguments"),
+    # argparse reads "-inf" as a flag: the axis kind refuses it by name instead
+    (["probe-grid", "--config", "{config}", "--x", "-inf", "1", "3"],
+     "x must be [low, high, count], got ['-inf', '1', '3'] from --x"),
+    (["probe-grid", "--config", "{config}", "--x", "-Infinity", "1", "3"],
+     "x must be [low, high, count], got ['-Infinity', '1', '3'] from --x"),
+    (["probe-grid", "--config", "{config}", "--y", "0", "-NaN", "3"],
+     "y must be [low, high, count], got ['0', '-NaN', '3'] from --y"),
     (["split", "--config", "{config}", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["split", "--config", "{config}", "--d", "0.9"], "unrecognized arguments: --d 0.9"),
     (["split"], "the following arguments are required: --config"),

@@ -285,14 +285,14 @@ class TestKernelProperties:
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 try:
-                    expected = gower_similarity(a, b, ranges)
-                except KernelError:
+                    expected = gower_oracle(a.features, b.features, ranges.ranges)
+                except ValueError:
                     assert math.isnan(block[i, j])
                 else:
                     assert block[i, j] == expected
 
 
-    # |1e308 - -1e308| overflows to inf, and inf / inf is NaN: the scalar kernel returns NaN there
+    # |1e308 - -1e308| overflows to inf, and inf / inf is NaN: the oracle returns NaN there
     @example(([make_sample("a0", {"f0": 1e308})], [make_sample("b0", {"f0": -1e308})],
               RangeTable(ranges={"f0": math.inf}, bounds={"f0": (0.0, math.inf)})))
     @given(rows_with_extreme_ranges())
@@ -305,8 +305,8 @@ class TestKernelProperties:
         for i, a in enumerate(left):
             for j, b in enumerate(right):
                 try:
-                    expected = gower_similarity(a, b, ranges)
-                except KernelError:
+                    expected = gower_oracle(a.features, b.features, ranges.ranges)
+                except ValueError:
                     expected = math.nan
                 if math.isnan(expected):
                     assert math.isnan(block[i, j])
@@ -341,9 +341,7 @@ class TestKernelProperties:
     @settings(max_examples=100, deadline=None)
     def test_oracle_agreement(self, pair):
         a, b, ranges = pair
-        assert gower_similarity(a, b, ranges) == pytest.approx(
-            gower_oracle(a.features, b.features, ranges.ranges), abs=1e-12
-        )
+        assert gower_similarity(a, b, ranges) == gower_oracle(a.features, b.features, ranges.ranges)
 
     @given(sample_pair_with_ranges())
     @settings(max_examples=100, deadline=None)

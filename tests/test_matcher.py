@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simlabel.kernel
 import simlabel.matcher
 from conftest import T0, make_sample, make_schema, match_dicts, random_instance
 from oracles import gower_oracle, match_oracle
 from simlabel.dataset import Dataset
 from simlabel.errors import DataError, KernelError, MatcherError
-from simlabel.kernel import RangeTable, compute_ranges
+from simlabel.kernel import RangeTable, compute_ranges, gower_similarity
 from simlabel.matcher import (
     Matches,
     SimilarityParams,
@@ -368,10 +369,21 @@ class TestMatchBatch:
                     pairwise_similarities(labeled, ranges),
                 )
 
+            calls = []
+            real = simlabel.kernel.similarity_block
+
+            def counted(left, right, ranges):
+                calls.append(len(right))
+                return real(left, right, ranges)
+
+            monkeypatch.setattr(simlabel.kernel, "similarity_block", counted)
             default = passes()
+            default_calls = len(calls)
             assert not np.isnan(default[0].imputed).all()
             monkeypatch.setattr(simlabel.matcher, "BLOCK_PAIRS", 7)
+            calls.clear()
             matches, votes, pairs = passes()
+            assert len(calls) > default_calls  # the smaller blocks took effect
             assert matches.ids == default[0].ids
             assert np.array_equal(matches.top_ids, default[0].top_ids)
             for name in ("votes", "estimates", "matched", "imputed", "top_sims"):
@@ -407,6 +419,8 @@ class TestMatchBatch:
         overflow = "their difference in feature 'f0' overflows the float range"
         with pytest.raises(KernelError, match=f"^samples 'l0' and 'l1': {overflow}"):
             pairwise_similarities(labeled, ranges)
+        with pytest.raises(KernelError, match=f"^samples 'l0' and 'l1': {overflow}"):
+            gower_similarity(labeled.rows[0], labeled.rows[1], ranges)
         unlabeled = Dataset(schema, [make_sample("u0", {"f0": -1e308, "f1": 0.5})])
         with pytest.raises(KernelError, match=f"^samples 'l0' and 'u0': {overflow}"):
             match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.5, c=0.5))
