@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any
 
 from .dataset import Dataset, Sample, load_dataset, load_schema, number, read_json, write_dataset
-from .dataset import atomic_write_text, time_holdout_split
+from .dataset import atomic_write_chunks, atomic_write_text, time_holdout_split
 from .errors import ConfigError, MissingArtifactError, SimlabelError
 
 MODEL_NAME_PLAIN = "logistic regression"
@@ -305,8 +305,7 @@ def cmd_match(run: Run) -> str:
             run.out / f"match_{side}.csv",
             matcher.matches_to_csv_text(matches, run.schema.estimation_features),
         )
-        atomic_write_text(run.out / f"match_{side}_contributors.json",
-                          matcher.contributors_to_json_text(matcher.contributors_to_json_dict(matches)))
+        atomic_write_chunks(run.out / f"match_{side}_contributors.json", matcher.contributors_to_json_chunks(matches))
         parts.append(f"{side}: {(matches.estimates != 0).sum()}/{len(matches)} confident")
     return (
         f"match: d={params.d!r} c={params.c!r}; {'; '.join(parts)} "
@@ -479,7 +478,7 @@ def cmd_probe_shell(run: Run) -> str:
     else:
         summary_extra = "; unscored (no model file; run `train` to score the shell)"
     shell_path = run.out / f"shell_{_slug(base.id)}.csv"
-    atomic_write_text(shell_path, probe_mod.shell_to_csv_text(shell, run.schema.similarity_features))
+    atomic_write_chunks(shell_path, probe_mod.shell_to_csv_text(shell, run.schema.similarity_features))
     return (
         f"probe-shell: {len(shell)} samples within similarity {d!r} of {base.id!r} "
         f"(varied {', '.join(vary)}) -> {shell_path}{summary_extra}"

@@ -10,16 +10,20 @@ config values: `number` refuses a numeric text holding "_" (Python's `float`
 and `int` read "1_0" as 10), and `id_violation` refuses an empty id and an id
 seen on an earlier row.
 
-Every CSV file is read through `read_csv` and written through `csv_text`, and
-every JSON artifact is written through `write_json`, except the `match`
-contributor sidecars: `matcher.contributors_to_json_text` writes those in the
-same format, without the pure-Python encoder that `indent` selects.
+Every CSV file is read through `read_csv` and written through `csv_chunks`,
+`CHUNK_ROWS` rows a chunk (`csv_text` joins them), and every JSON artifact is
+written through `write_json`, except the `match` contributor sidecars:
+`matcher.contributors_to_json_chunks` writes those in the same format, without
+the pure-Python encoder that `indent` selects. `atomic_write_chunks` writes a
+file chunk by chunk, so the largest artifacts, the `probe-shell` CSV and the
+sidecars, are never held whole in memory.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -39,6 +43,10 @@ SOURCE_REAL = "real"
 SOURCE_SIMILAR = "similar"
 
 PROVENANCE_COLUMNS = ("source", "vote", "matched_count")
+
+# rows per chunk of a streamed artifact, and per block of the probes' array
+# work; read as `dataset.CHUNK_ROWS` at call time, never imported by value
+CHUNK_ROWS = 4096
 
 
 class Role(str, Enum):
@@ -183,23 +191,32 @@ def id_violation(sample_id: str, row_num: int, seen: dict[str, int]) -> str | No
     seen[sample_id] = row_num
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The CSV artifact format: one header row, then the rows, each ending in "\\n".
+def csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    """The CSV artifact format, `CHUNK_ROWS` rows a chunk: one header row, then the rows, each ending in "\\n".
 
+    The header opens the first chunk, and no rows still give that one chunk.
     Cells are strings, ints, builtin floats or None. csv.writer writes a float
     as its shortest repr, which reloads to the same float, and None as an
     empty cell; a numpy scalar must be converted with float() or .tolist().
-    A carriage return in a cell raises DataError: csv.writer does not quote it
-    under a "\n" line terminator, and the file would read back split there.
+    A carriage return in a cell raises DataError when its chunk is made:
+    csv.writer does not quote it under a "\n" line terminator, and the file
+    would read back split there.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    text = buf.getvalue()
-    if "\r" in text:
-        raise DataError("a CSV cell holds a carriage return, which the artifact format cannot write")
-    return text
+    rows = iter(rows)
+    chunk = [header, *itertools.islice(rows, CHUNK_ROWS)]
+    while chunk:
+        buf = io.StringIO()  # a fresh one per chunk: truncating one to reuse it costs more memory
+        csv.writer(buf, lineterminator="\n").writerows(chunk)
+        text = buf.getvalue()
+        if "\r" in text:
+            raise DataError("a CSV cell holds a carriage return, which the artifact format cannot write")
+        yield text
+        chunk = list(itertools.islice(rows, CHUNK_ROWS))
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """The whole CSV text of `csv_chunks`."""
+    return "".join(csv_chunks(header, rows))
 
 
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:
@@ -396,19 +413,28 @@ def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
     return csv_text(header, zip(*cells))
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partial output."""
+def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks in turn via a sibling temp file and rename, so readers never see partial output.
+
+    An error while writing, or raised by the chunks themselves, leaves the
+    target as it was and removes the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """`atomic_write_chunks` of the one text."""
+    atomic_write_chunks(path, (text,))
 
 
 def write_json(path: str | Path, payload) -> None:

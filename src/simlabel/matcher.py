@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import dataset
 from .dataset import Dataset, csv_text, feature_matrix, json_number, number, read_csv, read_json, write_json
 from .errors import MatcherError
 from .kernel import RangeTable, similarity_blocks
@@ -394,15 +395,18 @@ def load_matches(path: str | Path, estimation_features: Sequence[str]) -> Matche
     )
 
 
-def contributors_to_json_dict(matches: Matches) -> dict:
-    """Sidecar payload: unlabeled id -> [[labeled id, similarity], ...]."""
-    counts = np.minimum(matches.matched, matches.top_ids.shape[1]).tolist()
-    rows = zip(matches.ids, matches.top_ids.tolist(), matches.top_sims.tolist(), counts)
-    return {uid: list(zip(lids[:k], sims[:k])) for uid, lids, sims, k in rows}
+def contributors_to_json_dict(matches: Matches, rows: slice = slice(None)) -> dict:
+    """Sidecar payload: unlabeled id -> [[labeled id, similarity], ...], for the unlabeled rows in `rows`.
+
+    `contributors_to_json_chunks` takes one payload per block of rows, never one of every row.
+    """
+    counts = np.minimum(matches.matched[rows], matches.top_ids.shape[1]).tolist()
+    entries = zip(matches.ids[rows], matches.top_ids[rows].tolist(), matches.top_sims[rows].tolist(), counts)
+    return {uid: list(zip(lids[:k], sims[:k])) for uid, lids, sims, k in entries}
 
 
-def contributors_to_json_text(payload: dict) -> str:
-    """`json.dumps(payload, indent=2) + "\\n"` without the pure-Python encoder that `indent` selects.
+def _json_entries(payload: dict) -> str:
+    """The entries of `contributors_to_json_text(payload)`, without the braces that enclose them.
 
     One pass: ids go through json's C escaper, a finite float similarity through `float.__repr__` as
     json writes it (a numpy float64's own repr is `np.float64(0.5)`), and anything else through `json.dumps`.
@@ -413,7 +417,24 @@ def contributors_to_json_text(payload: dict) -> str:
                            f"{float.__repr__(sim) if isinstance(sim, float) and math.isfinite(sim) else json.dumps(sim)}"
                            "\n    ]" for lid, sim in contributors])
         entries.append(f"  {json_str(uid)}: [\n{rows}\n  ]" if contributors else f"  {json_str(uid)}: []")
-    return "{\n" + ",\n".join(entries) + "\n}\n" if entries else "{}\n"
+    return ",\n".join(entries)
+
+
+def contributors_to_json_text(payload: dict) -> str:
+    """`json.dumps(payload, indent=2) + "\\n"` without the pure-Python encoder that `indent` selects."""
+    return "{\n" + _json_entries(payload) + "\n}\n" if payload else "{}\n"
+
+
+def contributors_to_json_chunks(matches: Matches) -> Iterator[str]:
+    """`contributors_to_json_text(contributors_to_json_dict(matches))`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
+
+    Each chunk holds the entries of one `contributors_to_json_dict` block.
+    """
+    step = dataset.CHUNK_ROWS
+    for start in range(0, len(matches), step):
+        yield ("{\n" if start == 0 else ",\n") + _json_entries(
+            contributors_to_json_dict(matches, slice(start, start + step)))
+    yield "\n}\n" if len(matches) else "{}\n"
 
 
 def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:

@@ -19,19 +19,23 @@ the observed feature bounds. Every emitted sample is re-verified against the
 kernel; a draw that fails the constraint is rejected and redrawn. The random
 words come from a counter-based stream: attempt a of sample i is a hash of
 (seed, i, a), so sample i depends on (seed, i) only, never on how many
-samples are drawn. The draws are made and checked in rounds, one array of
-every still-pending sample per round.
+samples are drawn. The draws are made a block of `dataset.CHUNK_ROWS` indices
+at a time, and checked in rounds, one array of the block's still-pending
+samples per round. The scores of grid points and shell draws are computed in
+blocks of as many rows, and the shell CSV comes back as chunks of as many
+rows, so a probe's temporaries stay the same size however many points it has.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Sample, csv_text, feature_matrix, write_json
+from . import dataset
+from .dataset import Sample, csv_chunks, csv_text, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, similarity_block
@@ -124,12 +128,22 @@ def probability_grid(
 
 
 def _score_points(model: LinearModel, base: Sample, columns: Sequence[str], values: np.ndarray) -> np.ndarray:
-    """Scores of the base with `columns` set to each row of values; missing cells get train means."""
-    points = np.repeat(feature_matrix([base], model.features), len(values), axis=0)
-    for j, name in enumerate(columns):
-        if name in model.weights:
-            points[:, model.features.index(name)] = values[:, j]
-    return model.score_matrix(points)
+    """Scores of the base with `columns` set to each row of values; missing cells get train means.
+
+    The points are built and scored `dataset.CHUNK_ROWS` rows at a time;
+    `score_matrix` scores each row on its own, so the blocks do not change a bit.
+    """
+    base_row = feature_matrix([base], model.features)
+    at = [(j, model.features.index(name)) for j, name in enumerate(columns) if name in model.weights]
+    scores = np.empty(len(values))
+    step = dataset.CHUNK_ROWS
+    for start in range(0, len(values), step):
+        block = values[start:start + step]
+        points = np.repeat(base_row, len(block), axis=0)
+        for j, column in at:
+            points[:, column] = block[:, j]
+        scores[start:start + step] = model.score_matrix(points)
+    return scores
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,12 +213,13 @@ def similarity_shell(
     reads words 2ka .. 2ka + 2k - 1 of a SplitMix64 sequence started from a
     hash of (seed, i), k shares and then k signs. The shares are normalised
     -log(u) with u strictly inside (0, 1), which is Dirichlet(1, ..., 1).
-    Each round draws every pending sample as one array, clamps it, checks it
-    with one `similarity_block` call and redraws the rejected samples with
-    the next attempt. Rounding can put a draw a hair below d, and with one
-    varied feature every attempt lands on one of the same two points, so
-    attempt a moves by the fraction 1 - 2**(a + 1 - MAX_SHELL_ATTEMPTS) of
-    the budget: all of it for the first ten attempts, none at the last. A
+    The indices are drawn in blocks of `dataset.CHUNK_ROWS`, lowest first.
+    Each round draws every pending sample of the block as one array, clamps
+    it, checks it with one `similarity_block` call and redraws the rejected
+    samples with the next attempt. Rounding can put a draw a hair below d,
+    and with one varied feature every attempt lands on one of the same two
+    points, so attempt a moves by the fraction 1 - 2**(a + 1 - MAX_SHELL_ATTEMPTS)
+    of the budget: all of it for the first ten attempts, none at the last. A
     sample the kernel still rejects then raises ProbeError naming the lowest
     such index.
     """
@@ -239,33 +254,35 @@ def similarity_shell(
         values, similarity = np.empty((n, k)), np.empty(n)
     except ValueError as err:  # numpy refuses a count past its index range before allocating
         raise ProbeError(f"cannot draw {n} shell samples: {err}") from err
-    pending = np.arange(n, dtype=np.uint64)
-    streams = _streams(seed, pending)
-    for attempt in range(MAX_SHELL_ATTEMPTS):
-        words = _words(streams, 2 * k * attempt, 2 * k)
-        # u = (top 52 bits + 1/2) / 2**52 lies in [2**-53, 1 - 2**-53]; with 53 bits
-        # the top word would round up to u = 1, a zero share total and a NaN value
-        exponentials = -np.log(((words[:, :k] >> np.uint64(12)) + 0.5) * 2.0**-52)
-        shares = exponentials / exponentials.sum(axis=1, keepdims=True)
-        signs = np.where(words[:, k:] >> np.uint64(63), 1.0, -1.0)
-        # the full budget to the last bit for the first ten attempts, then ever
-        # closer to the base, which the last attempt returns and which always passes
-        aim = 1.0 - 2.0 ** (attempt + 1 - MAX_SHELL_ATTEMPTS)
-        moved = base_row[0, columns] + signs * shares * (aim * step)
-        trial = np.repeat(base_row, len(pending), axis=0)
-        trial[:, columns] = np.clip(moved, lows, highs)
-        sims = similarity_block(base_row, trial, ranges)[0]
-        accepted = sims >= d
-        values[pending[accepted]] = trial[accepted][:, columns]
-        similarity[pending[accepted]] = sims[accepted]
-        pending, streams = pending[~accepted], streams[~accepted]
-        if not len(pending):
-            break
-    else:
-        raise ProbeError(
-            f"could not draw a shell sample above similarity {d} after "
-            f"{MAX_SHELL_ATTEMPTS} attempts (index {pending[0]})"
-        )
+    block = dataset.CHUNK_ROWS
+    for start in range(0, n, block):
+        pending = np.arange(start, min(start + block, n), dtype=np.uint64)
+        streams = _streams(seed, pending)
+        for attempt in range(MAX_SHELL_ATTEMPTS):
+            words = _words(streams, 2 * k * attempt, 2 * k)
+            # u = (top 52 bits + 1/2) / 2**52 lies in [2**-53, 1 - 2**-53]; with 53 bits
+            # the top word would round up to u = 1, a zero share total and a NaN value
+            exponentials = -np.log(((words[:, :k] >> np.uint64(12)) + 0.5) * 2.0**-52)
+            shares = exponentials / exponentials.sum(axis=1, keepdims=True)
+            signs = np.where(words[:, k:] >> np.uint64(63), 1.0, -1.0)
+            # the full budget to the last bit for the first ten attempts, then ever
+            # closer to the base, which the last attempt returns and which always passes
+            aim = 1.0 - 2.0 ** (attempt + 1 - MAX_SHELL_ATTEMPTS)
+            moved = base_row[0, columns] + signs * shares * (aim * step)
+            trial = np.repeat(base_row, len(pending), axis=0)
+            trial[:, columns] = np.clip(moved, lows, highs)
+            sims = similarity_block(base_row, trial, ranges)[0]
+            accepted = sims >= d
+            values[pending[accepted]] = trial[accepted][:, columns]
+            similarity[pending[accepted]] = sims[accepted]
+            pending, streams = pending[~accepted], streams[~accepted]
+            if not len(pending):
+                break
+        else:  # the earlier blocks all passed, so this is the lowest failing index
+            raise ProbeError(
+                f"could not draw a shell sample above similarity {d} after "
+                f"{MAX_SHELL_ATTEMPTS} attempts (index {pending[0]})"
+            )
     return Shell(base, tuple(vary), values, similarity)
 
 
@@ -284,11 +301,13 @@ def score_shell(model: LinearModel, shell: Shell, class_threshold: float = 0.5) 
                    class_threshold=class_threshold)
 
 
-def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> str:
-    """Long-format shell output: coordinates, similarity, score, crossed flag.
+def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> Iterator[str]:
+    """Long-format shell output, as `dataset.csv_chunks`: coordinates, similarity, score, crossed flag.
 
+    Join the chunks for the whole text, or hand them to `atomic_write_chunks`.
     A feature the base lacks and does not vary is an empty cell, and so are
-    the score and the flag of an unscored shell.
+    the score and the flag of an unscored shell. The draws are turned into
+    cells `dataset.CHUNK_ROWS` at a time, as the chunks are made.
     """
     at = {name: j for j, name in enumerate(shell.vary)}
     fixed = [shell.base.features.get(name) for name in feature_names]
@@ -297,11 +316,17 @@ def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> str:
         features = (row[at[name]] if name in at else cell for name, cell in zip(feature_names, fixed))
         return [_SHELL_ID.format(shell.base.id, i), *features, similarity, score, crossed]
 
-    n, scored = len(shell), shell.scores is not None
-    rows = map(cells, range(n), (row.tolist() for row in shell.values), shell.similarity.tolist(),
-               shell.scores.tolist() if scored else [None] * n,
-               shell.crossed.astype(int).tolist() if scored else [None] * n)
-    return csv_text(["id", *feature_names, "similarity", "score", "crossed"], rows)
+    def rows():
+        scored, step = shell.scores is not None, dataset.CHUNK_ROWS
+        for start in range(0, len(shell), step):
+            block = slice(start, start + step)
+            similarity = shell.similarity[block].tolist()
+            unscored = [None] * len(similarity)
+            yield from map(cells, range(start, start + len(similarity)), shell.values[block].tolist(), similarity,
+                           shell.scores[block].tolist() if scored else unscored,
+                           shell.crossed[block].astype(int).tolist() if scored else unscored)
+
+    return csv_chunks(["id", *feature_names, "similarity", "score", "crossed"], rows())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simlabel.dataset
 from conftest import T0, make_sample, make_schema
 from simlabel.dataset import (
     PROVENANCE_COLUMNS,
@@ -18,7 +19,9 @@ from simlabel.dataset import (
     FeatureSchema,
     Role,
     Sample,
+    atomic_write_chunks,
     atomic_write_text,
+    csv_chunks,
     csv_text,
     dataset_to_csv_text,
     load_dataset,
@@ -103,6 +106,19 @@ class TestCsvText:
         # csv.writer leaves "a\rb" unquoted under a "\n" line terminator, and csv.reader splits the row there
         with pytest.raises(DataError, match="carriage return"):
             csv_text(["id", "v"], [["x", 1.0], [cell, 2.0]])
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_chunks_join_to_the_whole_text(self, monkeypatch, chunk_rows):
+        k = chunk_rows
+        for count in (0, 1, k - 1, k, k + 1, 2 * k + 1):
+            rows = [[f"r{i}", i / 3, None if i % 2 else -i] for i in range(count)]
+            whole = csv_text(["id", "x", "y"], rows)  # one chunk at the default size
+            with monkeypatch.context() as patch:
+                patch.setattr(simlabel.dataset, "CHUNK_ROWS", k)
+                chunks = list(csv_chunks(["id", "x", "y"], rows))
+            assert "".join(chunks) == whole
+            assert len(chunks) == max(1, -(-count // k)), count  # the header rides in the first chunk
+            assert chunks[0].startswith("id,x,y\n")
 
 
 def dataset_csv_text_by_row(data, include_provenance):
@@ -625,4 +641,35 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         atomic_write_text(path, "new\ud800\n")  # a lone surrogate has no UTF-8 form
     assert path.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def failing_chunks():
+    """Two chunks, then an error of the source itself."""
+    yield "id,v\na,1\n"
+    yield "b,2\n"
+    raise RuntimeError("the source failed")
+
+
+@pytest.mark.parametrize("source, error", [
+    # two rows a chunk: the carriage return is in the third
+    (lambda: csv_chunks(["id", "v"], [["a", 1], ["b", 2], ["c", 3], ["d", 4], ["e\r", 5], ["f", 6]]), DataError),
+    (failing_chunks, RuntimeError),
+], ids=["carriage-return", "source-error"])
+def test_failed_chunked_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path, monkeypatch, source, error):
+    monkeypatch.setattr(simlabel.dataset, "CHUNK_ROWS", 2)
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old\n")
+    written = []
+
+    def counted(chunks):
+        for chunk in chunks:
+            written.append(chunk)
+            yield chunk
+
+    with pytest.raises(error):
+        atomic_write_chunks(path, counted(source()))
+    assert len(written) == 2  # two chunks reached the temp file before the failure
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.glob(".out.csv.*.tmp")) == []
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import simlabel.dataset
 import simlabel.kernel
 import simlabel.matcher
 from conftest import T0, make_sample, make_schema, match_dicts, random_instance
@@ -25,6 +26,7 @@ from simlabel.matcher import (
     calibrate,
     calibrate_confidence_threshold,
     calibrate_similarity_threshold,
+    contributors_to_json_chunks,
     contributors_to_json_dict,
     contributors_to_json_text,
     labeled_similarity_distribution,
@@ -699,3 +701,25 @@ class TestMatchSerialization:
     @example({"u": (("l", math.nan), ("", -math.inf)), "v": [], "w": [["𝄞\x00", -0.0]]})
     def test_contributors_json_text_is_the_indent_2_dump(self, payload):
         assert contributors_to_json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    @pytest.mark.parametrize("n", [0, 1, 15])  # 15 rows cross a block boundary at either size
+    def test_contributor_chunks_join_to_the_whole_sidecar(self, monkeypatch, chunk_rows, n):
+        schema, labeled, unlabeled, ranges = random_instance(np.random.default_rng(n), 12, n)
+        matches = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.4, c=0.2))
+        whole = contributors_to_json_text(contributors_to_json_dict(matches))
+        blocks = []
+        real = simlabel.matcher.contributors_to_json_dict
+
+        def counted(matches, rows):
+            blocks.append(rows)
+            return real(matches, rows)
+
+        monkeypatch.setattr(simlabel.dataset, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(simlabel.matcher, "contributors_to_json_dict", counted)
+        chunks = list(contributors_to_json_chunks(matches))
+        assert "".join(chunks) == whole
+        assert len(blocks) == -(-n // chunk_rows)  # one payload a block
+        assert len(chunks) == len(blocks) + 1  # and the closing brace, or the one "{}" of no rows
+        if n:
+            assert any(top for top in contributors_to_json_dict(matches).values())

@@ -6,6 +6,9 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import T0, make_sample, make_schema
 from oracles import auc_pairs_oracle, central_difference_gradient
@@ -225,6 +228,24 @@ class TestPredictScores:
         data = Dataset(SCHEMA, [make_sample("a", {"f0": 5.0, "f1": 0.0}), make_sample("b", {})])
         expected = _sigmoid(np.array([intercept]))[0]
         assert [score for _, score in predict_scores(model, data).rows] == [expected, expected]
+
+    @given(data=st.data(), n_features=st.integers(0, 12), n_rows=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_score_matrix_scores_each_row_as_it_scores_alone(self, data, n_features, n_rows):
+        # the probes score their points in blocks of rows and rely on this
+        names = [f"f{j}" for j in range(n_features)]
+        number = st.floats(-1e3, 1e3)
+        model = LinearModel(
+            weights={f: data.draw(number) for f in names},
+            intercept=data.draw(number),
+            l1=0.0,
+            l2=0.0,
+            feature_means={f: data.draw(number) for f in names},
+            feature_scales={f: data.draw(st.floats(1e-3, 1e3)) for f in names},
+        )
+        x = data.draw(arrays(np.float64, (n_rows, n_features), elements=number | st.just(math.nan)))
+        alone = [model.score_matrix(x[i:i + 1].copy())[0] for i in range(n_rows)]
+        assert model.score_matrix(x).tolist() == alone
 
     def test_standardized_zero_scores_half(self):
         model = LinearModel(

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
+import simlabel.dataset
 import simlabel.probe
 from oracles import exact_linear_recourse, gower_oracle
 from simlabel.dataset import Dataset, csv_text
@@ -249,14 +250,14 @@ class TestScoreShell:
         model = linear_model()
         shell = similarity_shell(BASE, ["f0"], RANGES, d=0.9, n=3, seed=29)
         scored = score_shell(model, shell)
-        lines = shell_to_csv_text(scored, SCHEMA.similarity_features).splitlines()
+        lines = "".join(shell_to_csv_text(scored, SCHEMA.similarity_features)).splitlines()
         assert lines[0] == "id,f0,f1,f2,similarity,score,crossed"
         assert len(lines) == 4
         assert lines[1].split(",")[-1] in ("0", "1")
         assert lines[1].split(",")[:5] == [
             "base-shell-00000", repr(float(shell.values[0, 0])), "-0.5", "1.0", repr(float(shell.similarity[0]))
         ]
-        unscored = shell_to_csv_text(shell, SCHEMA.similarity_features).splitlines()
+        unscored = "".join(shell_to_csv_text(shell, SCHEMA.similarity_features)).splitlines()
         assert [line.rsplit(",", 2)[0] for line in unscored] == [line.rsplit(",", 2)[0] for line in lines]
         assert all(line.endswith(",,") for line in unscored[1:])
 
@@ -271,7 +272,7 @@ class TestScoreShell:
         partial = make_sample("partial", {"f0": 0.5, "f1": -0.5})
         shell = similarity_shell(partial, ["f0"], RANGES, d=0.9, n=20, seed=71)
         scored = score_shell(model, shell)
-        lines = shell_to_csv_text(scored, SCHEMA.similarity_features).splitlines()
+        lines = "".join(shell_to_csv_text(scored, SCHEMA.similarity_features)).splitlines()
         assert all(line.split(",")[3] == "" for line in lines[1:])
         filled = [make_sample("p", point | {"f2": 0.75}) for point in draws(shell)]
         assert scored.scores.tolist() == model.score_samples(filled).tolist()
@@ -521,7 +522,7 @@ class TestShellStream:
             assert np.all((lo <= shell.values[:, j]) & (shell.values[:, j] <= hi))
         assert base.features == before
         fixed = [f for f in names if f not in vary]
-        rows = shell_to_csv_text(shell, names).splitlines()[1:]
+        rows = "".join(shell_to_csv_text(shell, names)).splitlines()[1:]
         for row in rows:
             cells = dict(zip(names, row.split(",")[1:]))
             assert [cells[f] for f in fixed] == [repr(before[f]) if f in before else "" for f in fixed]
@@ -536,6 +537,74 @@ class TestShellStream:
         assert len({tuple(shell_values(shell)) for shell in shells.values()}) == len(seeds)
         again = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.9, n=20, seed=2**100)
         assert contents(again) == contents(shells[2**100])
+
+
+class TestBlocks:
+    """Draws, scores and the shell CSV are made `dataset.CHUNK_ROWS` rows at a time, with the bits of one block."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7])
+    def test_blocks_change_no_draw_score_or_byte(self, monkeypatch, chunk_rows):
+        model, n = linear_model(intercept=0.3), 20
+        whole = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=n, seed=13)
+        scored = score_shell(model, whole)
+        grid = probability_grid(model, BASE, "f0", "f2", (-2, 2, 5), (-2, 2, 4))
+        text = "".join(shell_to_csv_text(scored, SCHEMA.similarity_features))
+
+        checked, scored_rows = [], []
+        real_block, real_score = simlabel.probe.similarity_block, LinearModel.score_matrix
+
+        def block(left, right, ranges):
+            checked.append(len(right))
+            return real_block(left, right, ranges)
+
+        def score_matrix(self, x):
+            scored_rows.append(len(x))
+            return real_score(self, x)
+
+        monkeypatch.setattr(simlabel.dataset, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(simlabel.probe, "similarity_block", block)
+        monkeypatch.setattr(LinearModel, "score_matrix", score_matrix)
+        blocked = similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=n, seed=13)
+        assert max(checked) == chunk_rows
+        assert blocked.values.tolist() == whole.values.tolist()
+        assert blocked.similarity.tolist() == whole.similarity.tolist()
+
+        rescored = score_shell(model, blocked)
+        assert sum(scored_rows) == n + 1 and max(scored_rows) == chunk_rows  # the base, then the draws
+        assert rescored.base_score == scored.base_score
+        assert rescored.scores.tolist() == scored.scores.tolist()
+        assert rescored.crossed.tolist() == scored.crossed.tolist()
+        regrid = probability_grid(model, BASE, "f0", "f2", (-2, 2, 5), (-2, 2, 4))
+        assert regrid.probabilities.tolist() == grid.probabilities.tolist()
+
+        chunks = list(shell_to_csv_text(rescored, SCHEMA.similarity_features))
+        assert len(chunks) == -(-n // chunk_rows)
+        assert "".join(chunks) == text
+
+    @pytest.mark.parametrize("chunk_rows", [None, 1, 7])
+    def test_a_failing_later_block_names_the_same_lowest_index(self, monkeypatch, chunk_rows):
+        # samples 9 and 15 are rejected at every attempt, whichever block and position they are drawn in
+        doomed = simlabel.probe._streams(1, np.array([9, 15], dtype=np.uint64))
+        real_words, real_block = simlabel.probe._words, simlabel.probe.similarity_block
+        round_rows, rejected = [], []
+
+        def words(streams, first, count):
+            rejected[:] = [np.isin(streams, doomed)]
+            return real_words(streams, first, count)
+
+        def block(left, right, ranges):
+            round_rows.append(len(right))
+            sims = real_block(left, right, ranges)
+            sims[0, rejected[0]] = 0.0
+            return sims
+
+        if chunk_rows:
+            monkeypatch.setattr(simlabel.dataset, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(simlabel.probe, "_words", words)
+        monkeypatch.setattr(simlabel.probe, "similarity_block", block)
+        with pytest.raises(ProbeError, match=rf"after {MAX_SHELL_ATTEMPTS} attempts \(index 9\)"):
+            similarity_shell(BASE, ["f0", "f1"], RANGES, d=0.8, n=20, seed=1)
+        assert round_rows[0] == (chunk_rows or 20)
 
 
 @st.composite
