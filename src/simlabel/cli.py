@@ -132,10 +132,11 @@ def _axis(value, base: Path) -> tuple[float, float, int]:
 
 
 def _names(value, base: Path) -> list[str]:
-    parts = value.split(",") if isinstance(value, str) else list(value)
-    if not parts:  # an empty list is refused, not read as "every feature"
+    parts = value.split(",") if isinstance(value, str) else value
+    # an empty list is refused, not read as "every feature", and so are an object and a blank or non-string name
+    if not isinstance(parts, list) or not parts or not all(isinstance(part, str) and part.strip() for part in parts):
         raise ValueError(value)
-    return [str(part).strip() for part in parts]
+    return [part.strip() for part in parts]
 
 
 def _scores(value, base: Path) -> list[tuple[str, Path]]:
@@ -301,7 +302,7 @@ def cmd_match(run: Run) -> str:
     parts = []
     for side, labeled in sides.items():
         matches = matcher.match_batch(unlabeled, labeled, ranges, params)
-        atomic_write_text(
+        atomic_write_chunks(
             run.out / f"match_{side}.csv",
             matcher.matches_to_csv_text(matches, run.schema.estimation_features),
         )
@@ -444,7 +445,7 @@ def cmd_probe_grid(run: Run) -> str:
         y_axis = y_axis or (*ranges.bounds[fy], 25)
     grid = probe_mod.probability_grid(fitted, base, fx, fy, x_axis, y_axis)
     out_path = run.out / f"probe_grid_{_slug(base.id)}.csv"
-    atomic_write_text(out_path, grid.to_csv_text())
+    atomic_write_chunks(out_path, grid.to_csv_text())
     return (
         f"probe-grid: {len(grid.x_values)}x{len(grid.y_values)} scores for sample "
         f"{base.id!r} over ({fx}, {fy}) -> {out_path}"

@@ -11,12 +11,12 @@ and `int` read "1_0" as 10), and `id_violation` refuses an empty id and an id
 seen on an earlier row.
 
 Every CSV file is read through `read_csv` and written through `csv_chunks`,
-`CHUNK_ROWS` rows a chunk (`csv_text` joins them), and every JSON artifact is
-written through `write_json`, except the `match` contributor sidecars:
+`CHUNK_ROWS` rows a chunk, and every JSON artifact is written through
+`write_json`, except the `match` contributor sidecars:
 `matcher.contributors_to_json_chunks` writes those in the same format, without
 the pure-Python encoder that `indent` selects. `atomic_write_chunks` writes a
-file chunk by chunk, so the largest artifacts, the `probe-shell` CSV and the
-sidecars, are never held whole in memory.
+file chunk by chunk, so no CSV artifact's text, and no sidecar's, is ever held
+whole in memory.
 """
 
 from __future__ import annotations
@@ -214,11 +214,6 @@ def csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
         chunk = list(itertools.islice(rows, CHUNK_ROWS))
 
 
-def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
-    """The whole CSV text of `csv_chunks`."""
-    return "".join(csv_chunks(header, rows))
-
-
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:
     """Stream a UTF-8 CSV file as (0, header), then (n, cells) for data row n = 1, 2, ...
 
@@ -398,7 +393,8 @@ def load_dataset(
     return Dataset(schema=schema, rows=rows, provenance=str(path))
 
 
-def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
+def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> Iterator[str]:
+    """The dataset in schema column order, then the provenance columns if asked, as `csv_chunks`."""
     rows, schema = data.rows, data.schema
     columns = {
         schema.id_column: [row.id for row in rows],
@@ -410,7 +406,7 @@ def dataset_to_csv_text(data: Dataset, include_provenance: bool = False) -> str:
     if include_provenance:
         header += PROVENANCE_COLUMNS
         cells += [[row.source for row in rows], [row.vote for row in rows], [row.matched_count for row in rows]]
-    return csv_text(header, zip(*cells))
+    return csv_chunks(header, zip(*cells))
 
 
 def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
@@ -443,7 +439,7 @@ def write_json(path: str | Path, payload) -> None:
 
 
 def write_dataset(data: Dataset, path: str | Path, include_provenance: bool = False) -> None:
-    atomic_write_text(path, dataset_to_csv_text(data, include_provenance=include_provenance))
+    atomic_write_chunks(path, dataset_to_csv_text(data, include_provenance=include_provenance))
 
 
 def time_holdout_split(data: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:

@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dataset
-from .dataset import Dataset, csv_text, feature_matrix, json_number, number, read_csv, read_json, write_json
+from .dataset import Dataset, csv_chunks, feature_matrix, json_number, number, read_csv, read_json, write_json
 from .errors import MatcherError
 from .kernel import RangeTable, similarity_blocks
 
@@ -329,15 +329,15 @@ def match_batch(
     )
 
 
-def matches_to_csv_text(matches: Matches, estimation_features: Sequence[str]) -> str:
-    """Delimited match output: id, t, y_hat, matched_count, then imputed columns."""
+def matches_to_csv_text(matches: Matches, estimation_features: Sequence[str]) -> Iterator[str]:
+    """Match output, as `dataset.csv_chunks`: id, t, y_hat, matched_count, then imputed columns."""
     table = np.empty((len(matches), 4 + len(estimation_features)), dtype=object)
     table[:, 0] = matches.ids
     table[:, 1] = np.where(np.isnan(matches.votes), None, matches.votes)  # builtin floats, None for NaN
     table[:, 2] = matches.estimates
     table[:, 3] = matches.matched
     table[:, 4:] = np.where(np.isnan(matches.imputed), None, matches.imputed)
-    return csv_text(["id", "t", "y_hat", "matched_count", *estimation_features], table.tolist())
+    return csv_chunks(["id", "t", "y_hat", "matched_count", *estimation_features], table.tolist())
 
 
 def _cell(name: str, text: str, kind: type = float):
@@ -406,7 +406,7 @@ def contributors_to_json_dict(matches: Matches, rows: slice = slice(None)) -> di
 
 
 def _json_entries(payload: dict) -> str:
-    """The entries of `contributors_to_json_text(payload)`, without the braces that enclose them.
+    """The entries of `json.dumps(payload, indent=2) + "\\n"`, without the braces that enclose them.
 
     One pass: ids go through json's C escaper, a finite float similarity through `float.__repr__` as
     json writes it (a numpy float64's own repr is `np.float64(0.5)`), and anything else through `json.dumps`.
@@ -420,15 +420,11 @@ def _json_entries(payload: dict) -> str:
     return ",\n".join(entries)
 
 
-def contributors_to_json_text(payload: dict) -> str:
-    """`json.dumps(payload, indent=2) + "\\n"` without the pure-Python encoder that `indent` selects."""
-    return "{\n" + _json_entries(payload) + "\n}\n" if payload else "{}\n"
-
-
 def contributors_to_json_chunks(matches: Matches) -> Iterator[str]:
-    """`contributors_to_json_text(contributors_to_json_dict(matches))`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
+    """`json.dumps(contributors_to_json_dict(matches), indent=2) + "\\n"`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
 
-    Each chunk holds the entries of one `contributors_to_json_dict` block.
+    Each chunk holds the entries of one `contributors_to_json_dict` block,
+    made without the pure-Python encoder that `indent` selects.
     """
     step = dataset.CHUNK_ROWS
     for start in range(0, len(matches), step):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
-from .dataset import Dataset, Sample, atomic_write_text, csv_text, feature_matrix, read_csv
+from .dataset import Dataset, Sample, atomic_write_chunks, csv_chunks, feature_matrix, read_csv
 from .dataset import id_violation, json_count, json_number, number, read_json, write_json
 from .errors import ModelError
 
@@ -315,9 +315,6 @@ class ScoreFile:
     def scores_by_id(self) -> dict[str, float]:
         return dict(self.rows)
 
-    def to_csv_text(self) -> str:
-        return csv_text(["id", "score"], self.rows)
-
 
 def predict_scores(model: LinearModel, data: Dataset, model_name: str = "logistic regression") -> ScoreFile:
     """Score every row of the dataset, in row order."""
@@ -327,7 +324,8 @@ def predict_scores(model: LinearModel, data: Dataset, model_name: str = "logisti
 
 
 def save_scores(scores: ScoreFile, path: str | Path) -> None:
-    atomic_write_text(path, scores.to_csv_text())
+    """Write the id,score CSV, streamed as `dataset.csv_chunks`."""
+    atomic_write_chunks(path, csv_chunks(["id", "score"], scores.rows))
 
 
 def load_external_scores(path: str | Path, model_name: str | None = None) -> ScoreFile:

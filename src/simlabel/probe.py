@@ -22,8 +22,9 @@ words come from a counter-based stream: attempt a of sample i is a hash of
 samples are drawn. The draws are made a block of `dataset.CHUNK_ROWS` indices
 at a time, and checked in rounds, one array of the block's still-pending
 samples per round. The scores of grid points and shell draws are computed in
-blocks of as many rows, and the shell CSV comes back as chunks of as many
-rows, so a probe's temporaries stay the same size however many points it has.
+blocks of as many rows, and the grid and shell CSVs come back as chunks of as
+many rows, so a probe's temporaries stay the same size however many points
+it has.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dataset
-from .dataset import Sample, csv_chunks, csv_text, feature_matrix, write_json
+from .dataset import Sample, csv_chunks, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, similarity_block
@@ -62,13 +63,12 @@ class ProbeGrid:
     y_values: tuple[float, ...]
     probabilities: np.ndarray  # shape (len(x_values), len(y_values))
 
-    def to_csv_text(self) -> str:
-        # each axis value is formatted once, with the str() that csv.writer applies;
-        # the scores come out x-major, as the rows do
+    def to_csv_text(self) -> Iterator[str]:
+        """The grid as `dataset.csv_chunks`: a row per point, x-major, the scores read one x value at a time."""
+        # each axis value is formatted once, with the str() that csv.writer applies
         xs, ys = [str(x) for x in self.x_values], [str(y) for y in self.y_values]
-        scores = iter(self.probabilities.ravel().tolist())
-        return csv_text([self.feature_x, self.feature_y, "score"], (
-            (x, y, next(scores)) for x in xs for y in ys
+        return csv_chunks([self.feature_x, self.feature_y, "score"], (
+            (x, y, score) for i, x in enumerate(xs) for y, score in zip(ys, self.probabilities[i].tolist())
         ))
 
 

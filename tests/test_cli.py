@@ -773,6 +773,17 @@ def test_empty_string_is_refused(tmp_path, capsys, name, where):
     assert not list(fx["out"].glob("*"))
 
 
+# a blank or non-string name in a config list is refused, not read as text, and an object is not its key list
+@pytest.mark.parametrize("value", [[None], [""], ["f0", " "], ["f0", 1], {"f0": 1}], ids=json.dumps)
+@pytest.mark.parametrize("command, section, key", [("train", "train", "features"), ("probe-shell", "probe", "vary")])
+def test_blank_or_non_string_feature_name_in_config_is_refused(tmp_path, capsys, command, section, key, value):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10, extra_config={section: {key: value}})
+    assert main([command, "--config", str(fx["config"])]) == 1
+    assert one_error_line(capsys)["message"] == (
+        f"{key} must be a non-empty list of feature names, got {value!r} from {fx['config']}")
+    assert not list(fx["out"].glob("*"))
+
+
 def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
     fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
     monkeypatch.setenv("SIMLABEL_OUT_DIR", "")
@@ -803,6 +814,13 @@ def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
      "x must be [low, high, count], got ['-Infinity', '1', '3'] from --x"),
     (["probe-grid", "--config", "{config}", "--y", "0", "-NaN", "3"],
      "y must be [low, high, count], got ['0', '-NaN', '3'] from --y"),
+    # a blank name is no feature name
+    (["probe-shell", "--config", "{config}", "--vary", "f0,,f1"],
+     "vary must be a non-empty list of feature names, got 'f0,,f1' from --vary"),
+    (["probe-shell", "--config", "{config}", "--vary", " "],
+     "vary must be a non-empty list of feature names, got ' ' from --vary"),
+    (["probe-shell", "--config", "{config}", "--vary", "f0,"],
+     "vary must be a non-empty list of feature names, got 'f0,' from --vary"),
     (["split", "--config", "{config}", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["split", "--config", "{config}", "--d", "0.9"], "unrecognized arguments: --d 0.9"),
     (["split"], "the following arguments are required: --config"),

@@ -22,7 +22,6 @@ from simlabel.dataset import (
     atomic_write_chunks,
     atomic_write_text,
     csv_chunks,
-    csv_text,
     dataset_to_csv_text,
     load_dataset,
     load_schema,
@@ -99,20 +98,20 @@ class TestCsvText:
     @example(1e-05)
     def test_float_is_its_repr_and_none_is_empty(self, value):
         # two columns: a row of one empty field is written as ""
-        assert csv_text(["a", "v"], [["x", value], ["y", None]]) == f"a,v\nx,{value!r}\ny,\n"
+        assert "".join(csv_chunks(["a", "v"], [["x", value], ["y", None]])) == f"a,v\nx,{value!r}\ny,\n"
 
     @pytest.mark.parametrize("cell", ["\r", "a\rb", "a,\rb"])
     def test_carriage_return_in_a_cell_is_refused(self, cell):
         # csv.writer leaves "a\rb" unquoted under a "\n" line terminator, and csv.reader splits the row there
         with pytest.raises(DataError, match="carriage return"):
-            csv_text(["id", "v"], [["x", 1.0], [cell, 2.0]])
+            "".join(csv_chunks(["id", "v"], [["x", 1.0], [cell, 2.0]]))
 
     @pytest.mark.parametrize("chunk_rows", [1, 7])
     def test_chunks_join_to_the_whole_text(self, monkeypatch, chunk_rows):
         k = chunk_rows
         for count in (0, 1, k - 1, k, k + 1, 2 * k + 1):
             rows = [[f"r{i}", i / 3, None if i % 2 else -i] for i in range(count)]
-            whole = csv_text(["id", "x", "y"], rows)  # one chunk at the default size
+            whole = "".join(csv_chunks(["id", "x", "y"], rows))  # one chunk at the default size
             with monkeypatch.context() as patch:
                 patch.setattr(simlabel.dataset, "CHUNK_ROWS", k)
                 chunks = list(csv_chunks(["id", "x", "y"], rows))
@@ -142,7 +141,7 @@ def dataset_csv_text_by_row(data, include_provenance):
             line += [row.source, row.vote, row.matched_count]
         return line
 
-    return csv_text(header, map(cells, data.rows))
+    return "".join(csv_chunks(header, map(cells, data.rows)))
 
 
 FEATURE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e16, 1e-05])
@@ -166,7 +165,8 @@ class TestDatasetToCsvText:
     def test_bytes_equal_the_row_by_row_writer(self, columns, rows, include_provenance):
         # the columns in any order, absent features and None labels, naive and offset-aware timestamps
         data = Dataset(FeatureSchema(tuple(columns)), rows)
-        assert dataset_to_csv_text(data, include_provenance) == dataset_csv_text_by_row(data, include_provenance)
+        whole = "".join(dataset_to_csv_text(data, include_provenance))
+        assert whole == dataset_csv_text_by_row(data, include_provenance)
 
 
 class TestLoadDataset:

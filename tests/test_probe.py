@@ -11,7 +11,7 @@ from conftest import make_sample, make_schema
 import simlabel.dataset
 import simlabel.probe
 from oracles import exact_linear_recourse, gower_oracle
-from simlabel.dataset import Dataset, csv_text
+from simlabel.dataset import Dataset, csv_chunks
 from simlabel.errors import ProbeError
 from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
@@ -121,7 +121,7 @@ class TestProbabilityGrid:
 
     def test_csv_is_long_format(self):
         grid = probability_grid(constant_model(), BASE, "f0", "f1", (-1, 1, 2), (-1, 1, 2))
-        lines = grid.to_csv_text().splitlines()
+        lines = "".join(grid.to_csv_text()).splitlines()
         assert lines[0] == "f0,f1,score"
         assert len(lines) == 5
 
@@ -138,11 +138,11 @@ class TestProbabilityGrid:
         if data.draw(st.booleans()):  # the same scores laid out column-major
             probabilities = np.asfortranarray(probabilities)
         grid = ProbeGrid("b", "f0", "f1", x_values, y_values, probabilities)
-        assert grid.to_csv_text() == csv_text(["f0", "f1", "score"], [
+        assert "".join(grid.to_csv_text()) == "".join(csv_chunks(["f0", "f1", "score"], [
             (x, y, float(probabilities[i, j]))
             for i, x in enumerate(x_values)
             for j, y in enumerate(y_values)
-        ])
+        ]))
 
 
 def draws(shell):
