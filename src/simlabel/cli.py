@@ -16,7 +16,10 @@ environment are relative to the working directory.
 Each command imports the library modules it uses, and only the stages that
 compute with arrays load numpy: `split`, `ranges`, `evaluate`, `report` and
 `--help` never do. `augment` does, because `matcher.load_matches` reads the
-match file into the array-backed `Matches`.
+match file into the array-backed `Matches`. A CLI run sets OpenBLAS's own
+OPENBLAS_NUM_THREADS to 1 unless it is already set (it is no simlabel
+option): no stage makes a BLAS call that threads speed up, and starting the
+pool costs about 46 ms of each numpy import on a 2-core VM.
 """
 
 from __future__ import annotations
@@ -140,9 +143,12 @@ def _names(value, base: Path) -> list[str]:
 
 
 def _scores(value, base: Path) -> list[tuple[str, Path]]:
-    if not all(isinstance(e, dict) and "name" in e and "path" in e for e in value):
+    # an object is refused, not read as "no external scores", and so is a blank or non-string name or path
+    if not isinstance(value, list) or not all(
+            isinstance(e, dict) and all(isinstance(e.get(k), str) and e[k].strip() for k in ("name", "path"))
+            for e in value):
         raise ValueError(value)
-    return [(str(e["name"]), base / str(e["path"])) for e in value]
+    return [(e["name"], base / e["path"]) for e in value]
 
 
 # kind -> (parse(value, directory that relative paths start from), what a value
@@ -550,6 +556,8 @@ def _negative_axis_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # before numpy's first import, which a command makes: the pool of BLAS threads costs more to start than it saves
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     argv = sys.argv[1:] if argv is None else argv
     command = argv[0] if argv and argv[0] in _DISPATCH else None  # a usage error names it too
     try:

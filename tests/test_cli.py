@@ -784,6 +784,21 @@ def test_blank_or_non_string_feature_name_in_config_is_refused(tmp_path, capsys,
     assert not list(fx["out"].glob("*"))
 
 
+# an object is not "no external scores", and a null, number or blank name or path is not text
+@pytest.mark.parametrize("value", [
+    {},
+    *([{"name": name, "path": "external.csv"}] for name in (None, 7, "", " ")),
+    *([{"name": "svm", "path": path}] for path in (None, "", " ")),
+], ids=json.dumps)
+def test_malformed_external_scores_in_config_are_refused(tmp_path, capsys, value):
+    fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10,
+                                extra_config={"evaluate": {"external_scores": value}})
+    assert main(["evaluate", "--config", str(fx["config"])]) == 1
+    assert one_error_line(capsys)["message"] == (
+        f"external_scores must be {KINDS['scores'][1]}, got {value!r} from {fx['config']}")
+    assert not list(fx["out"].glob("*"))
+
+
 def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
     fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
     monkeypatch.setenv("SIMLABEL_OUT_DIR", "")

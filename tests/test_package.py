@@ -28,12 +28,16 @@ PUBLIC = {
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(simlabel.__path__) if m.name != "__main__")
 
 
-def child(*args: str) -> subprocess.CompletedProcess:
-    """`python -X importtime *args` in a fresh interpreter that imports this suite's package."""
+def child(*args: str, environ: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """`python -X importtime *args` in a fresh interpreter that imports this suite's package.
+
+    The child's environment is `environ` (default: this process's) with that package on PYTHONPATH.
+    """
+    environ = os.environ if environ is None else environ
     package_dir = str(Path(simlabel.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [package_dir, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [package_dir, environ.get("PYTHONPATH")]))
     result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
-                            env={**os.environ, "PYTHONPATH": path})
+                            env={**environ, "PYTHONPATH": path})
     assert result.returncode == 0, result.stderr[-2000:]
     return result
 
@@ -154,3 +158,19 @@ class TestNumpyLoadsOnlyWhereItComputes:
         result = child("-m", "simlabel", command, "--config", str(fixture["config"]))
         assert result.stdout.startswith(f"{command}:")
         assert "numpy" in imported(result)
+
+    # a CLI run sets OpenBLAS's own OPENBLAS_NUM_THREADS to 1 before numpy loads, unless it is already set
+    CALIBRATE = "import os, sys\nfrom simlabel.cli import main\nrc = main(['calibrate', '--config', sys.argv[1]])\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_cli_run_loads_numpy_without_blas_threads(self, fixture):
+        code = self.CALIBRATE + "print(rc, len(os.listdir('/proc/self/task')))\n"
+        environ = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        result = child("-c", code, str(fixture["config"]), environ=environ)
+        assert "numpy" in imported(result)
+        assert result.stdout.splitlines()[-1] == "0 1"
+
+    def test_cli_run_keeps_a_blas_thread_count_already_set(self, fixture):
+        code = self.CALIBRATE + "print(rc, os.environ['OPENBLAS_NUM_THREADS'])\n"
+        result = child("-c", code, str(fixture["config"]), environ={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+        assert result.stdout.splitlines()[-1] == "0 2"
