@@ -75,7 +75,7 @@ OPTIONS = (
     Option(None, "unlabeled", None, "path"),
     Option(None, "out_dir", "--out-dir", "path", env="SIMLABEL_OUT_DIR",
            help="output directory override"),
-    Option(None, None, "--workers", "int", 1,
+    Option(None, None, "--workers", "positive", 1,
            help="accepted for compatibility; changes neither output nor speed"),
     Option(None, "seed", "--seed", "int", 0, ("probe-shell",), help="seed override"),
     Option("split", "test_fraction", "--test-fraction", "unit", 0.2, ("split",)),
@@ -118,6 +118,12 @@ def _int(value, base: Path) -> int:
     return int(value)
 
 
+def _positive(value, base: Path) -> int:
+    if (value := _int(value, base)) < 1:
+        raise ValueError(value)
+    return value
+
+
 def _unit(value, base: Path) -> float:
     value = number(value)
     if not 0.0 <= value <= 1.0:
@@ -155,6 +161,7 @@ def _scores(value, base: Path) -> list[tuple[str, Path]]:
 # must be); a flag's value reaches the parser as the string (three strings for an axis)
 KINDS = {
     "int": (_int, "an integer"),
+    "positive": (_positive, "an integer >= 1"),
     "float": (lambda value, base: number(value), "a number"),
     "unit": (_unit, "a number in [0, 1]"),
     "str": (lambda value, base: str(value), "a string"),

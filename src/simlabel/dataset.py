@@ -11,8 +11,10 @@ and `int` read "1_0" as 10), and `id_violation` refuses an empty id and an id
 seen on an earlier row.
 
 Every CSV file is read through `read_csv` and written through `csv_chunks`,
-`CHUNK_ROWS` rows a chunk, and every JSON artifact is written through
-`write_json`, except the `match` contributor sidecars:
+`CHUNK_ROWS` rows a chunk; the probes' CSVs, whose rows differ only in their
+numbers, through `csv_template_chunks`, which renders one row template with
+`csv_chunks` and fills it with `%` per row. Every JSON artifact is written
+through `write_json`, except the `match` contributor sidecars:
 `matcher.contributors_to_json_chunks` writes those in the same format, without
 the pure-Python encoder that `indent` selects. `atomic_write_chunks` writes a
 file chunk by chunk, so no CSV artifact's text, and no sidecar's, is ever held
@@ -212,6 +214,24 @@ def csv_chunks(header: Sequence[str], rows: Iterable[Sequence]) -> Iterator[str]
             raise DataError("a CSV cell holds a carriage return, which the artifact format cannot write")
         yield text
         chunk = list(itertools.islice(rows, CHUNK_ROWS))
+
+
+def csv_template_chunks(header: Sequence[str], template: Sequence, rows: Iterable[Sequence]) -> Iterator[str]:
+    """`csv_chunks` of rows that share one line: `template` filled with `%` from each row, `CHUNK_ROWS` a chunk.
+
+    The header and the template are each written by `csv_chunks`, so they are
+    quoted, and a carriage return refused, as every CSV cell is. A text cell
+    of the template may hold `%` fields, `%%` for a literal %, and each row
+    gives the values of the line's fields in order. A field must be text that
+    csv.writer leaves unquoted: `%r` of a builtin float is the text csv.writer
+    writes for it, and `%d` of an int likewise.
+    """
+    head, line = next(csv_chunks(header, ())), next(csv_chunks(template, ()))
+    lines = map(line.__mod__, map(tuple, rows))
+    chunk = head + "".join(itertools.islice(lines, CHUNK_ROWS))
+    while chunk:
+        yield chunk
+        chunk = "".join(itertools.islice(lines, CHUNK_ROWS))
 
 
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:

@@ -24,26 +24,30 @@ at a time, and checked in rounds, one array of the block's still-pending
 samples per round. The scores of grid points and shell draws are computed in
 blocks of as many rows, and the grid and shell CSVs come back as chunks of as
 many rows, so a probe's temporaries stay the same size however many points
-it has.
+it has. Each of the two CSVs is one row template, rendered by `csv.writer`
+once and filled with `%` per row (`dataset.csv_template_chunks`): `%r` of a
+builtin float is the text `csv.writer` writes for it, so no cell pays the
+writer's cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import dataset
-from .dataset import Sample, csv_chunks, feature_matrix, write_json
+from .dataset import Sample, csv_template_chunks, feature_matrix, write_json
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, similarity_block
 from .model import LinearModel
 
 MAX_SHELL_ATTEMPTS = 64
-_SHELL_ID = "{}-shell-{:05d}"  # base id, draw index
+_SHELL_ID = "-shell-%05d"  # follows the base id; the field is the draw index
 
 
 def _linear(model) -> LinearModel:
@@ -64,12 +68,12 @@ class ProbeGrid:
     probabilities: np.ndarray  # shape (len(x_values), len(y_values))
 
     def to_csv_text(self) -> Iterator[str]:
-        """The grid as `dataset.csv_chunks`: a row per point, x-major, the scores read one x value at a time."""
+        """The grid as `dataset.csv_template_chunks`: a row per point, x-major, the scores read one x value at a time."""
         # each axis value is formatted once, with the str() that csv.writer applies
         xs, ys = [str(x) for x in self.x_values], [str(y) for y in self.y_values]
-        return csv_chunks([self.feature_x, self.feature_y, "score"], (
-            (x, y, score) for i, x in enumerate(xs) for y, score in zip(ys, self.probabilities[i].tolist())
-        ))
+        rows = (zip(repeat(x), ys, self.probabilities[i].tolist()) for i, x in enumerate(xs))
+        return csv_template_chunks([self.feature_x, self.feature_y, "score"], ["%s", "%s", "%r"],
+                                   chain.from_iterable(rows))
 
 
 def probability_grid(
@@ -168,7 +172,7 @@ class Shell:
         return len(self.similarity)
 
     def ids(self) -> list[str]:
-        return [_SHELL_ID.format(self.base.id, i) for i in range(len(self))]
+        return [self.base.id + _SHELL_ID % i for i in range(len(self))]
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -306,27 +310,31 @@ def shell_to_csv_text(shell: Shell, feature_names: Sequence[str]) -> Iterator[st
 
     Join the chunks for the whole text, or hand them to `atomic_write_chunks`.
     A feature the base lacks and does not vary is an empty cell, and so are
-    the score and the flag of an unscored shell. The draws are turned into
-    cells `dataset.CHUNK_ROWS` at a time, as the chunks are made.
+    the score and the flag of an unscored shell. Every line fills one
+    template (`dataset.csv_template_chunks`) that holds the base id and the
+    fixed features; each draw gives its index, varied values, similarity
+    and, once scored, score and flag, `dataset.CHUNK_ROWS` draws at a time.
     """
     at = {name: j for j, name in enumerate(shell.vary)}
-    fixed = [shell.base.features.get(name) for name in feature_names]
+    scored = shell.scores is not None
+    template = [shell.base.id.replace("%", "%%") + _SHELL_ID,
+                *("%r" if name in at else shell.base.features.get(name) for name in feature_names),
+                "%r", *(("%r", "%d") if scored else (None, None))]
+    varied = [at[name] for name in feature_names if name in at]
 
-    def cells(i: int, row: list[float], similarity: float, score: float | None, crossed: int | None) -> list:
-        features = (row[at[name]] if name in at else cell for name, cell in zip(feature_names, fixed))
-        return [_SHELL_ID.format(shell.base.id, i), *features, similarity, score, crossed]
-
-    def rows():
-        scored, step = shell.scores is not None, dataset.CHUNK_ROWS
+    def blocks():
+        step = dataset.CHUNK_ROWS
         for start in range(0, len(shell), step):
             block = slice(start, start + step)
-            similarity = shell.similarity[block].tolist()
-            unscored = [None] * len(similarity)
-            yield from map(cells, range(start, start + len(similarity)), shell.values[block].tolist(), similarity,
-                           shell.scores[block].tolist() if scored else unscored,
-                           shell.crossed[block].astype(int).tolist() if scored else unscored)
+            similarity = shell.similarity[block, None]
+            columns = [np.arange(start, start + len(similarity))[:, None], shell.values[block][:, varied], similarity]
+            if scored:
+                columns += [shell.scores[block, None], shell.crossed[block, None]]
+            # one float array: %d writes the index and the flag as whole numbers
+            yield np.hstack(columns).tolist()
 
-    return csv_chunks(["id", *feature_names, "similarity", "score", "crossed"], rows())
+    return csv_template_chunks(["id", *feature_names, "similarity", "score", "crossed"], template,
+                               chain.from_iterable(blocks()))
 
 
 @dataclass(frozen=True)
@@ -382,7 +390,7 @@ def recourse_probe(shell: Shell) -> RecourseReport:
     else:
         closest = crossings[similarity[crossings] == similarity[crossings].max()]
         # the smallest id; from index 100,000 on that is not the smallest index
-        best = min(closest.tolist(), key=lambda i: _SHELL_ID.format(base.id, i))
+        best = min(closest.tolist(), key=lambda i: base.id + _SHELL_ID % i)
         row = dict(zip(shell.vary, shell.values[best].tolist()))
         deltas = {name: row[name] - value for name, value in base.features.items()
                   if name in row and row[name] != value}
@@ -400,7 +408,7 @@ def recourse_probe(shell: Shell) -> RecourseReport:
         shell_size=len(shell),
         crossed_count=len(crossings),
         recourse_found=best is not None,
-        best_id=None if best is None else _SHELL_ID.format(base.id, best),
+        best_id=None if best is None else base.id + _SHELL_ID % best,
         best_similarity=None if best is None else float(similarity[best]),
         best_score=best_score,
         best_class=None if best is None else classify(best_score, threshold),

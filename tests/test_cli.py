@@ -710,6 +710,7 @@ def test_any_upstream_file_bytes_give_success_or_one_json_error_line(upstream_fi
 # option kind -> (config value, flag arguments, value read from the config, value read from the flag)
 KIND_SAMPLES = {
     "int": (3, ["5"], 3, 5),
+    "positive": (3, ["5"], 3, 5),
     "float": (0.25, ["0.75"], 0.25, 0.75),
     "unit": (0.25, ["0.75"], 0.25, 0.75),
     "str": ("a", ["b"], "a", "b"),
@@ -809,7 +810,9 @@ def test_empty_environment_variable_is_unset(tmp_path, monkeypatch):
 # a usage error, or a flag value its kind's parser refuses: one JSON line, exit 1
 @pytest.mark.parametrize("argv, message", [
     (["probe-shell", "--config", "{config}", "--seed", "2.5"], "seed must be an integer, got '2.5' from --seed"),
-    (["split", "--config", "{config}", "--workers", "two"], "workers must be an integer, got 'two'"),
+    (["split", "--config", "{config}", "--workers", "two"], "workers must be an integer >= 1, got 'two'"),
+    (["split", "--config", "{config}", "--workers", "0"], "workers must be an integer >= 1, got '0' from --workers"),
+    (["split", "--config", "{config}", "--workers=-3"], "workers must be an integer >= 1, got '-3' from --workers"),
     (["split", "--config", "{config}", "--test-fraction", "x"], "test_fraction must be a number in [0, 1]"),
     # int() and float() read "_" as digit grouping ("2_00" as 200): a value holding one is refused
     (["probe-shell", "--config", "{config}", "--count", "2_00"], "count must be an integer, got '2_00' from --count"),

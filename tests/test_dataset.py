@@ -22,6 +22,7 @@ from simlabel.dataset import (
     atomic_write_chunks,
     atomic_write_text,
     csv_chunks,
+    csv_template_chunks,
     dataset_to_csv_text,
     load_dataset,
     load_schema,
@@ -118,6 +119,31 @@ class TestCsvText:
             assert "".join(chunks) == whole
             assert len(chunks) == max(1, -(-count // k)), count  # the header rides in the first chunk
             assert chunks[0].startswith("id,x,y\n")
+
+
+class TestCsvTemplateChunks:
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_header_then_chunk_rows_lines_a_chunk(self, monkeypatch, chunk_rows):
+        k = chunk_rows
+        monkeypatch.setattr(simlabel.dataset, "CHUNK_ROWS", k)
+        for count in (0, 1, k, 2 * k + 1):
+            chunks = list(csv_template_chunks(["id", "x"], ["r%d", "%r"], ((i, i / 3) for i in range(count))))
+            assert chunks[0].startswith("id,x\n")
+            lines = [len(chunk.splitlines()) for chunk in [chunks[0].removeprefix("id,x\n"), *chunks[1:]]]
+            assert lines == [min(k, count - j) for j in range(0, max(count, 1), k)], count  # no rows: the header alone
+            assert "".join(chunks) == "".join(csv_chunks(["id", "x"], [(f"r{i}", i / 3) for i in range(count)]))
+
+    def test_double_percent_is_a_percent_sign(self):
+        assert "".join(csv_template_chunks(["a%", "b"], ["100%% of %d", "%r"], [(7, -0.0)])) == "a%,b\n100% of 7,-0.0\n"
+
+    @pytest.mark.parametrize("cell", ['say "hi" %d', "a,%d", "two\nlines %d", " %d "])
+    def test_a_cell_is_quoted_as_csv_writer_quotes_it(self, cell):
+        text = "".join(csv_template_chunks(["h,1", "e", "v"], [cell, None, "%r"], [(3, 0.5), (4, 1e-05)]))
+        assert text == "".join(csv_chunks(["h,1", "e", "v"], [[cell % 3, None, 0.5], [cell % 4, None, 1e-05]]))
+
+    def test_carriage_return_in_the_template_is_refused(self):
+        with pytest.raises(DataError, match="carriage return"):
+            "".join(csv_template_chunks(["id"], ["a\r%d"], [(1,)]))
 
 
 def dataset_csv_text_by_row(data, include_provenance):

@@ -1,6 +1,7 @@
 """Probability grid, similarity shell, and recourse probe tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import simlabel.dataset
 import simlabel.probe
 from oracles import exact_linear_recourse, gower_oracle
 from simlabel.dataset import Dataset, csv_chunks
-from simlabel.errors import ProbeError
+from simlabel.errors import DataError, ProbeError
 from simlabel.kernel import RangeTable
 from simlabel.model import LinearModel, predict_scores
 from simlabel.probe import (
@@ -277,6 +278,54 @@ class TestScoreShell:
         filled = [make_sample("p", point | {"f2": 0.75}) for point in draws(shell)]
         assert scored.scores.tolist() == model.score_samples(filled).tolist()
         assert scored.base_score == model.score_samples([make_sample("b", {"f0": 0.5, "f1": -0.5, "f2": 0.75})])[0]
+
+
+def shell_csv_one_cell_at_a_time(shell, feature_names):
+    """The reference shell CSV: each draw's cells in turn, through `csv_chunks`."""
+    rows = []
+    for i in range(len(shell)):
+        features = [float(shell.values[i, shell.vary.index(name)]) if name in shell.vary
+                    else shell.base.features.get(name) for name in feature_names]
+        flags = [None, None] if shell.scores is None else [float(shell.scores[i]), int(shell.crossed[i])]
+        rows.append([f"{shell.base.id}-shell-{i:05d}", *features, float(shell.similarity[i]), *flags])
+    return "".join(csv_chunks(["id", *feature_names, "similarity", "score", "crossed"], rows))
+
+
+class TestShellCsv:
+    NAMES = ("f0", "f1", "f2", "f3")
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_text_equals_one_cell_at_a_time(self, data):
+        # ids that csv.writer must quote, that hold % or non-ASCII text
+        base_id = data.draw(st.text(st.sampled_from('ab,"% \né€'), min_size=1, max_size=8))
+        # a fixed feature the base lacks, and one it has
+        held = data.draw(st.lists(st.sampled_from(self.NAMES), min_size=1, unique=True))
+        value = st.sampled_from([*data.draw(st.lists(st.floats(allow_nan=False), min_size=1, max_size=3)), -0.0])
+        base = make_sample(base_id, {name: data.draw(value) for name in held})
+        vary = tuple(data.draw(st.lists(st.sampled_from(held), min_size=1, unique=True)))
+        n = data.draw(st.integers(0, 6))
+        values = np.array(data.draw(st.lists(value, min_size=n * len(vary), max_size=n * len(vary))))
+        similarity = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1 / 3]), min_size=n, max_size=n)))
+        shell = Shell(base, vary, values.reshape(n, len(vary)), similarity)
+        if data.draw(st.booleans()):
+            scores = np.array(data.draw(st.lists(value, min_size=n, max_size=n)))
+            shell = replace(shell, base_score=0.5, scores=scores, crossed=scores >= 0.5, class_threshold=0.5)
+        # in any order, and maybe without some varied features
+        names = list(data.draw(st.permutations(self.NAMES)))[:data.draw(st.integers(1, 4))]
+        assert "".join(shell_to_csv_text(shell, names)) == shell_csv_one_cell_at_a_time(shell, names)
+
+    def test_carriage_return_in_the_base_id_is_refused(self):
+        shell = similarity_shell(make_sample("a\rb", BASE.features), ["f0"], RANGES, d=0.9, n=3, seed=1)
+        with pytest.raises(DataError, match="carriage return"):
+            "".join(shell_to_csv_text(shell, SCHEMA.similarity_features))
+
+    def test_draws_past_index_99999_get_six_digit_ids(self):
+        n = 100_002
+        shell = Shell(BASE, ("f0",), np.linspace(-1.0, 1.0, n).reshape(n, 1), np.linspace(0.9, 1.0, n))
+        text = "".join(shell_to_csv_text(shell, SCHEMA.similarity_features))
+        assert text == shell_csv_one_cell_at_a_time(shell, SCHEMA.similarity_features)
+        assert text.splitlines()[-1].startswith("base-shell-100001,")
 
 
 class TestRecourseProbe:
