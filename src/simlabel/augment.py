@@ -9,6 +9,7 @@ its provenance and prefixes similar ids so the combined id space stays unique.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -66,6 +67,6 @@ def merge_datasets(real: Dataset, similar: Dataset) -> Dataset:
         merged_rows.append(replace(row, id=f"{SIMILAR_ID_PREFIX}{row.id}"))
     ids = [row.id for row in merged_rows]
     if len(set(ids)) != len(ids):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, n in Counter(ids).items() if n > 1)
         raise AugmentError(f"duplicate ids after merge: {', '.join(dupes[:10])}")
     return Dataset(real.schema, merged_rows)

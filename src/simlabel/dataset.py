@@ -1,9 +1,10 @@
 """Delimited-text datasets, schema validation, and time-holdout splitting.
 
-Input files are UTF-8 comma-separated text with a single header row. Column
-roles come from a separate JSON config mapping column name to role. Missing
-cells are empty strings (the schema is numeric-only, so this is unambiguous),
-labels are strictly -1 or +1 integers, and timestamps are ISO-8601.
+Input files are UTF-8 comma-separated text with a single header row; one
+leading byte-order mark, as Excel writes, is skipped. Column roles come from a
+separate JSON config mapping column name to role. Missing cells are empty
+strings (the schema is numeric-only, so this is unambiguous), labels are
+strictly -1 or +1 integers, and timestamps are ISO-8601.
 
 Two rules hold for every text file the program reads, and for flag and
 config values: `number` refuses a numeric text holding "_" (Python's `float`
@@ -137,7 +138,7 @@ class FeatureSchema:
 
 
 def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Callable | None = None):
-    """Parse a JSON file, then `build` an object from it if given.
+    """Parse a UTF-8 JSON file, one leading byte-order mark skipped, then `build` an object from it if given.
 
     A missing or unparseable file, or an `error` from `build`, raises `error` naming the file.
     """
@@ -145,7 +146,7 @@ def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Ca
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as err:  # JSONDecodeError, bytes that are not UTF-8, or deep nesting
         raise error(f"{what} {path} is not valid JSON: {err}") from err
     if build is None:
@@ -237,14 +238,14 @@ def csv_template_chunks(header: Sequence[str], template: Sequence, rows: Iterabl
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:
     """Stream a UTF-8 CSV file as (0, header), then (n, cells) for data row n = 1, 2, ...
 
-    A missing or empty file, bytes that are not UTF-8, or text the csv module
-    rejects raise `error` naming the file.
+    One leading byte-order mark is skipped. A missing or empty file, bytes that
+    are not UTF-8, or text the csv module rejects raise `error` naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -263,9 +264,13 @@ def load_schema(path: str | Path) -> FeatureSchema:
     return FeatureSchema.from_mapping(mapping)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Sample:
     """One row. Missing feature cells are simply absent from `features`.
+
+    Slotted, not frozen: a frozen one sets each field through `object.__setattr__`,
+    which tripled the cost of the row `load_dataset` builds per line. Nothing
+    reassigns a field; `dataclasses.replace` derives a changed row.
 
     `source`, `vote`, and `matched_count` are row provenance used by merged
     and similar datasets; plain loaded rows are "real" with no vote.

@@ -148,6 +148,15 @@ class TestMergeDatasets:
         with pytest.raises(AugmentError, match=f"^duplicate ids after merge: {SIMILAR_ID_PREFIX}u1$"):
             merge_datasets(real, similar)
 
+    def test_duplicate_report_is_the_first_ten_ids_sorted(self):
+        # similar:u0..u11 each clash with a similar row, similar:u3 a third time, and "r" twice among the real rows
+        clashing = [f"{SIMILAR_ID_PREFIX}u{i}" for i in range(12)] + [f"{SIMILAR_ID_PREFIX}u3", "r", "r"]
+        real = Dataset(SCHEMA, [make_sample(sid, {"f0": 0.0, "f1": 0.0}, label=1) for sid in clashing])
+        similar = build_similar_dataset(as_matches([match(f"u{i}", 1) for i in range(12)]), unlabeled_rows(12))
+        shown = ["r"] + sorted(f"{SIMILAR_ID_PREFIX}u{i}" for i in range(12))[:9]
+        with pytest.raises(AugmentError, match=f"^duplicate ids after merge: {', '.join(shown)}$"):
+            merge_datasets(real, similar)
+
     def test_schema_mismatch_rejected(self):
         real = self.real_rows(2)
         other = build_similar_dataset(as_matches([]), Dataset(make_schema(1, 0), [], "other"))

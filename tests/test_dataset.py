@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import simlabel.dataset
-from conftest import T0, make_sample, make_schema
+from conftest import T0, make_sample, make_schema, write_pipeline_fixture
 from simlabel.dataset import (
     PROVENANCE_COLUMNS,
     SOURCE_REAL,
@@ -350,6 +351,50 @@ class TestLoadDataset:
             ]
             assert row_a.label == row_b.label
             assert row_a.timestamp == row_b.timestamp
+
+
+class TestByteOrderMark:
+    """A file saved as Excel's "CSV UTF-8" begins with a byte-order mark, which no reader may keep."""
+
+    def test_bom_prefixed_inputs_load_like_the_originals(self, tmp_path):
+        fx = write_pipeline_fixture(tmp_path / "plain", n_labeled_per=8, n_unlabeled_per=10)
+        marked = {}
+        for name in ("schema", "labeled", "unlabeled"):
+            marked[name] = tmp_path / f"bom-{fx[name].name}"
+            marked[name].write_bytes(b"\xef\xbb\xbf" + fx[name].read_bytes())
+        schema = load_schema(fx["schema"])
+        assert load_schema(marked["schema"]) == schema
+        for name in ("labeled", "unlabeled"):
+            assert load_dataset(marked[name], schema).rows == load_dataset(fx[name], schema).rows
+
+    def test_only_one_leading_mark_is_skipped(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + ("\ufeff" + HEADER).encode("utf-8"))
+        with pytest.raises(DataError, match="header is missing schema columns: uid$"):
+            load_dataset(path, SCHEMA)
+
+
+class TestSampleObject:
+    """The row object: slotted, so it carries no per-instance dict, and compared by value."""
+
+    def test_a_loaded_row_is_slotted(self, tmp_path):
+        row = load_dataset(write(tmp_path, HEADER + "a,2024-01-01T00:00:00,1,0.5,1.5,7.0\n"), SCHEMA).rows[0]
+        assert not hasattr(row, "__dict__")
+        with pytest.raises(AttributeError):
+            row.note = "x"
+
+    def test_replace_makes_a_new_row_and_leaves_the_old_one(self):
+        row = make_sample("a", {"f0": 1.0}, label=1)
+        changed = replace(row, id="b")
+        assert type(changed) is Sample and changed is not row
+        assert row.id == "a" and changed.id == "b"
+        assert replace(changed, id="a") == row
+
+    def test_rows_with_the_same_fields_are_equal(self):
+        assert make_sample("a", {"f0": 1.0}, label=1) == make_sample("a", {"f0": 1.0}, label=1)
+        assert make_sample("a", {"f0": 1.0}, label=1) != make_sample("a", {"f0": 1.0}, label=-1)
+        with pytest.raises(TypeError):
+            hash(make_sample("a", {}))
 
 
 
