@@ -15,11 +15,11 @@ Every CSV file is read through `read_csv` and written through `csv_chunks`,
 `CHUNK_ROWS` rows a chunk; the probes' CSVs, whose rows differ only in their
 numbers, through `csv_template_chunks`, which renders one row template with
 `csv_chunks` and fills it with `%` per row. Every JSON artifact is written
-through `write_json`, except the `match` contributor sidecars:
-`matcher.contributors_to_json_chunks` writes those in the same format, without
-the pure-Python encoder that `indent` selects. `atomic_write_chunks` writes a
-file chunk by chunk, so no CSV artifact's text, and no sidecar's, is ever held
-whole in memory.
+through `write_json`, except the `match` contributor sidecars, which
+`matcher.contributors_to_json_chunks` writes as `json.dumps` of their payload,
+without indent, a block of rows at a time. `atomic_write_chunks` writes a file
+chunk by chunk, so no CSV artifact's text, and no sidecar's, is ever held whole
+in memory.
 """
 
 from __future__ import annotations
@@ -140,13 +140,15 @@ class FeatureSchema:
 def read_json(path: str | Path, error: type[SimlabelError], what: str, build: Callable | None = None):
     """Parse a UTF-8 JSON file, one leading byte-order mark skipped, then `build` an object from it if given.
 
-    A missing or unparseable file, or an `error` from `build`, raises `error` naming the file.
+    A missing, unreadable or unparseable file, or an `error` from `build`, raises `error` naming the file.
     """
     path = Path(path)
     if not path.exists():
         raise error(f"{what} not found: {path}")
     try:
         payload = json.loads(path.read_text(encoding="utf-8-sig"))
+    except OSError as err:  # a directory, or no permission to read
+        raise error(f"{what} {path} is not readable: {err}") from err
     except (ValueError, RecursionError) as err:  # JSONDecodeError, bytes that are not UTF-8, or deep nesting
         raise error(f"{what} {path} is not valid JSON: {err}") from err
     if build is None:
@@ -238,8 +240,8 @@ def csv_template_chunks(header: Sequence[str], template: Sequence, rows: Iterabl
 def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterator[tuple[int, list[str]]]:
     """Stream a UTF-8 CSV file as (0, header), then (n, cells) for data row n = 1, 2, ...
 
-    One leading byte-order mark is skipped. A missing or empty file, bytes that
-    are not UTF-8, or text the csv module rejects raise `error` naming the file.
+    One leading byte-order mark is skipped. A missing, unreadable or empty file,
+    bytes that are not UTF-8, or text the csv module rejects raise `error` naming the file.
     """
     path = Path(path)
     if not path.exists():
@@ -252,6 +254,8 @@ def read_csv(path: str | Path, error: type[SimlabelError], what: str) -> Iterato
                 raise error(f"{path}: file is empty, expected a header row")
             yield 0, header
             yield from enumerate(reader, start=1)
+    except OSError as err:
+        raise error(f"{what} {path} is not readable: {err}") from err
     except (UnicodeDecodeError, csv.Error) as err:
         raise error(f"{what} {path} is not valid UTF-8 CSV: {err}") from err
 

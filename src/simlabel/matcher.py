@@ -23,13 +23,11 @@ sorted, so the result is that of a full stable argsort.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as json_str
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -406,34 +404,16 @@ def contributors_to_json_dict(matches: Matches, rows: slice = slice(None)) -> di
     return {uid: list(zip(lids[:k], sims[:k])) for uid, lids, sims, k in entries}
 
 
-def _json_entries(payload: dict, opening: Callable[[str], str]) -> str:
-    """The entries of `json.dumps(payload, indent=2) + "\\n"`, without the braces that enclose them.
-
-    One pass: ids go through json's C escaper, a finite float similarity through `float.__repr__` as
-    json writes it (a numpy float64's own repr is `np.float64(0.5)`), and anything else through `json.dumps`.
-    `opening(lid)` is the text of a pair up to its similarity, labeled id escaped.
-    """
-    entries = []
-    for uid, contributors in payload.items():
-        rows = ",\n".join([f"{opening(lid)}"
-                           f"{float.__repr__(sim) if isinstance(sim, float) and math.isfinite(sim) else json.dumps(sim)}"
-                           "\n    ]" for lid, sim in contributors])
-        entries.append(f"  {json_str(uid)}: [\n{rows}\n  ]" if contributors else f"  {json_str(uid)}: []")
-    return ",\n".join(entries)
-
-
 def contributors_to_json_chunks(matches: Matches) -> Iterator[str]:
-    """`json.dumps(contributors_to_json_dict(matches), indent=2) + "\\n"`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
+    """`json.dumps(contributors_to_json_dict(matches)) + "\\n"`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
 
-    Each chunk holds the entries of one `contributors_to_json_dict` block,
-    made without the pure-Python encoder that `indent` selects.
+    Each chunk is the `json.dumps` of one `contributors_to_json_dict` block without its braces.
     """
-    # cached for the whole sidecar, so each labeled id is escaped once, not once per pair
-    step, opening = dataset.CHUNK_ROWS, functools.cache(lambda lid: f"    [\n      {json_str(lid)},\n      ")
+    step = dataset.CHUNK_ROWS
     for start in range(0, len(matches), step):
-        yield ("{\n" if start == 0 else ",\n") + _json_entries(
-            contributors_to_json_dict(matches, slice(start, start + step)), opening)
-    yield "\n}\n" if len(matches) else "{}\n"
+        block = json.dumps(contributors_to_json_dict(matches, slice(start, start + step)))
+        yield ("{" if start == 0 else ", ") + block[1:-1]
+    yield "}\n" if len(matches) else "{}\n"
 
 
 def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:

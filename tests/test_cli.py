@@ -1,6 +1,7 @@
 """CLI pipeline tests: artifacts, error paths, determinism, input immutability."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -73,13 +74,15 @@ class TestPipelineArtifacts:
         assert params["matched_fraction_at_c"] < 0.05
         assert "labeled_similarity_distribution" in params
 
-    def test_every_json_artifact_is_the_indent_2_format(self, pipeline):
+    def test_every_json_artifact_is_its_exact_format(self, pipeline):
+        # the contributor sidecars are json.dumps without indent; every other JSON artifact has a two-space indent
+        sidecars = {"match_train_contributors.json", "match_test_contributors.json"}
         artifacts = sorted(pipeline["out"].glob("*.json"))
-        assert {"match_train_contributors.json", "match_test_contributors.json", "recourse_l0000.json"} <= {
-            path.name for path in artifacts}
+        assert sidecars | {"recourse_l0000.json"} <= {path.name for path in artifacts}
         for path in artifacts:
             text = path.read_text(encoding="utf-8")
-            assert text == json.dumps(json.loads(text), indent=2) + "\n", path.name
+            indent = None if path.name in sidecars else 2
+            assert text == json.dumps(json.loads(text), indent=indent) + "\n", path.name
 
     def test_match_output_shape(self, pipeline):
         lines = (pipeline["out"] / "match_train.csv").read_text().splitlines()
@@ -147,6 +150,27 @@ class TestPipelineArtifacts:
         assert len(digests) == 1
 
 
+def test_portable_artifacts_keep_their_golden_digests(tmp_path, capsys):
+    """`split ranges calibrate match augment` on the default fixture write the bytes pinned in tests/golden.json.
+
+    These five commands use only correctly rounded float operations and `repr`, so their bytes are the
+    same on any IEEE-754 machine. The fixture's inputs are pinned too: numpy's generator draws them, and
+    a change there is named as such. `train` onward and the probes stay unpinned: they go through
+    `np.exp`, `np.log` and numpy's reductions, whose last bit numpy does not promise across CPUs or
+    versions. A change that means to alter a pinned file edits tests/golden.json and says why.
+    """
+    golden = json.loads((Path(__file__).parent / "golden.json").read_text(encoding="utf-8"))
+    fx = write_pipeline_fixture(tmp_path)
+    for command in ("split", "ranges", "calibrate", "match", "augment"):
+        assert main([command, "--config", str(fx["config"])]) == 0, capsys.readouterr().err
+    digests = {"inputs": {name: sha(tmp_path / name) for name in golden["inputs"]},
+               "artifacts": {path.name: sha(path) for path in fx["out"].iterdir()}}
+    differ = sorted(name for group, pinned in golden.items()
+                    for name in pinned.keys() | digests[group].keys()
+                    if pinned.get(name) != digests[group].get(name))
+    assert not differ, f"digest differs from tests/golden.json: {', '.join(differ)}"
+
+
 class TestCliErrors:
     def test_match_before_ranges_names_the_producer(self, tmp_path, capsys):
         fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
@@ -196,6 +220,25 @@ class TestCliErrors:
             "nope.json not found; run `train` first"
         )
         assert not list(fx["out"].glob("shell_*"))
+
+    # a directory where a file is expected: the error names the file's role, not only the OS's reason
+    @pytest.mark.parametrize("command, what", [("probe-shell", "model file"), ("split", "dataset file")])
+    def test_a_directory_given_as_a_file_is_named_by_its_role(self, tmp_path, capsys, command, what):
+        directory = tmp_path / "not_a_file"
+        directory.mkdir()
+        if command == "probe-shell":  # the model named by a flag
+            fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+            for step in ("split", "ranges", "calibrate"):
+                assert main([step, "--config", str(fx["config"])]) == 0
+            flags = ["--model", str(directory)]
+        else:  # the labeled dataset named by the config
+            fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10,
+                                        extra_config={"labeled": str(directory)})
+            flags = []
+        capsys.readouterr()
+        assert main([command, "--config", str(fx["config"]), *flags]) == 1
+        reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directory))
+        assert one_error_line(capsys)["message"] == f"{what} {directory} is not readable: {reason}"
 
     @pytest.mark.parametrize("command, flags, payload", [
         ("train", [], {"train": {"features": ["f0", "f0", "f1"]}}),

@@ -694,7 +694,7 @@ class TestMatchSerialization:
     @example({}, 0)
     @example({"": []}, 0)
     @example({"u": [("l", math.nan), ("", -math.inf)], "v": [], "w": [("𝄞\x00", -0.0)]}, 1)
-    def test_contributors_json_text_is_the_indent_2_dump(self, payload, padding):
+    def test_contributors_json_text_is_the_json_dump(self, payload, padding):
         # each row's contributors, then None ids and NaN similarities padding every row to one width
         n, width = len(payload), max(map(len, payload.values()), default=0) + padding
         top_ids, top_sims = np.full((n, width), None, dtype=object), np.full((n, width), math.nan)
@@ -705,15 +705,15 @@ class TestMatchSerialization:
                           matched=np.array([len(c) for c in payload.values()], dtype=np.int64),
                           imputed=np.empty((n, 0)), top_ids=top_ids, top_sims=top_sims)
         text = "".join(contributors_to_json_chunks(matches))
-        assert text == json.dumps(contributors_to_json_dict(matches), indent=2) + "\n"
-        assert text == json.dumps(payload, indent=2) + "\n"
+        assert text == json.dumps(contributors_to_json_dict(matches)) + "\n"
+        assert text == json.dumps(payload) + "\n"
 
     @pytest.mark.parametrize("chunk_rows", [1, 7])
     @pytest.mark.parametrize("n", [0, 1, 15])  # 15 rows cross a block boundary at either size
     def test_contributor_chunks_join_to_the_whole_sidecar(self, monkeypatch, chunk_rows, n):
         schema, labeled, unlabeled, ranges = random_instance(np.random.default_rng(n), 12, n)
         matches = match_batch(unlabeled, labeled, ranges, SimilarityParams(d=0.4, c=0.2))
-        whole = json.dumps(contributors_to_json_dict(matches), indent=2) + "\n"
+        whole = json.dumps(contributors_to_json_dict(matches)) + "\n"
         blocks = []
         real = simlabel.matcher.contributors_to_json_dict
 
