@@ -206,10 +206,14 @@ class Run(dict):
 
     @cached_property
     def out(self) -> Path:
-        if self["out_dir"] is None:
+        out = self["out_dir"]
+        if out is None:
             raise ConfigError("no output directory (set out_dir in the config, "
                               "--out-dir, or SIMLABEL_OUT_DIR)")
-        return self["out_dir"]
+        existing = next(p for p in (out, *out.parents) if p.exists())  # "." or "/" at worst
+        if not existing.is_dir():
+            raise ConfigError(f"output directory {out} cannot be made: {existing} is not a directory")
+        return out
 
     def artifact(self, name: str, path: Path | None = None) -> Path:
         """The artifact `name`, at `path` or in the output directory; it must exist."""

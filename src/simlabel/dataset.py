@@ -314,8 +314,9 @@ def feature_matrix(rows: Sequence[Sample], names: Sequence[str]) -> np.ndarray:
     """The named features of each row as a float64 array, NaN where a cell is missing."""
     import numpy as np  # the module's only numpy user; loading and writing CSV never need it
 
-    cells = [[row.features.get(name, math.nan) for name in names] for row in rows]
-    return np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
+    nans = itertools.repeat(math.nan)
+    cells = itertools.chain.from_iterable(map(row.features.get, names, nans) for row in rows)
+    return np.fromiter(cells, np.float64, len(rows) * len(names)).reshape(len(rows), len(names))
 
 
 def load_dataset(

@@ -156,16 +156,20 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     0.0, as if the feature were skipped. An infinite spread keeps an explicit
     mask instead, because there an overflowed |a - b| gives inf / inf = NaN,
     which must stay NaN and `fmin` would hide. Each score goes
-    through one reused buffer. Nothing runs through BLAS (`@`, `dot`,
-    `einsum`): a threaded BLAS call on these small shapes can cost far more
-    than the elementwise passes it would replace.
+    through one reused buffer. Each feature's right values are read from one
+    contiguous run of a transposed copy of `right`, made once per call, since
+    a column of `right` itself is strided by K floats; any memory layout of
+    either matrix gives the same bits. Nothing runs through BLAS (`@`,
+    `dot`, `einsum`): a threaded BLAS call on these small shapes can cost far
+    more than the elementwise passes it would replace.
     """
     import numpy as np
-    missing_left, missing_right = np.isnan(left), np.isnan(right)
+    columns = np.ascontiguousarray(right.T)  # row k: feature k of every right row, in one run
+    missing_left, missing_right = np.isnan(left), np.isnan(columns)
     count = ((len(ranges.ranges) - np.count_nonzero(missing_left, axis=1))[:, None]
-             - np.count_nonzero(missing_right, axis=1).astype(np.float64))
-    for k in np.flatnonzero(missing_left.any(axis=0) & missing_right.any(axis=0)):
-        count += missing_left[:, k, None] & missing_right[None, :, k]
+             - np.count_nonzero(missing_right, axis=0).astype(np.float64))
+    for k in np.flatnonzero(missing_left.any(axis=0) & missing_right.any(axis=1)):
+        count += missing_left[:, k, None] & missing_right[k]
     total = np.zeros(count.shape)
     score = np.empty(count.shape)
     equal = np.empty(count.shape, dtype=bool)
@@ -174,7 +178,7 @@ def similarity_block(left: np.ndarray, right: np.ndarray, ranges: RangeTable) ->
     with np.errstate(over="ignore", invalid="ignore"):
         for k, spread in enumerate(ranges.ranges.values()):
             a = left[:, k, None]
-            b = right[None, :, k]
+            b = columns[k]
             if spread == 0.0:
                 total += np.equal(a, b, out=equal)
             elif np.isinf(spread):

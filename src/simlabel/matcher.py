@@ -37,8 +37,9 @@ from .errors import MatcherError
 from .kernel import RangeTable, similarity_blocks
 
 TOP_CONTRIBUTORS_CAP = 10
-# similarities per block: each float64 array over a block takes 2 MiB
-BLOCK_PAIRS = 1 << 18
+# similarities per block: each float64 array over a block takes 512 KiB, so the kernel's total, score and count
+# arrays fit a 2 MiB L2 together; the fastest one-thread size of 2**15 to 2**18 on bench's `mine` (500 x 4,000)
+BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -407,11 +408,12 @@ def contributors_to_json_dict(matches: Matches, rows: slice = slice(None)) -> di
 def contributors_to_json_chunks(matches: Matches) -> Iterator[str]:
     """`json.dumps(contributors_to_json_dict(matches)) + "\\n"`, `dataset.CHUNK_ROWS` unlabeled rows a chunk.
 
-    Each chunk is the `json.dumps` of one `contributors_to_json_dict` block without its braces.
+    Each chunk is the `json.dumps` of one `contributors_to_json_dict` block without its braces. A block is a
+    fresh tree of lists, tuples, strings and floats, so `check_circular` could find nothing and is off.
     """
     step = dataset.CHUNK_ROWS
     for start in range(0, len(matches), step):
-        block = json.dumps(contributors_to_json_dict(matches, slice(start, start + step)))
+        block = json.dumps(contributors_to_json_dict(matches, slice(start, start + step)), check_circular=False)
         yield ("{" if start == 0 else ", ") + block[1:-1]
     yield "}\n" if len(matches) else "{}\n"
 

@@ -240,6 +240,18 @@ class TestCliErrors:
         reason = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(directory))
         assert one_error_line(capsys)["message"] == f"{what} {directory} is not readable: {reason}"
 
+    # an output directory that is a file, or lies under one: the error names it as the output directory
+    @pytest.mark.parametrize("under", [(), ("sub",)], ids=["a-file", "under-a-file"])
+    def test_an_output_directory_that_cannot_be_made_is_named(self, tmp_path, capsys, under):
+        fx = write_pipeline_fixture(tmp_path, n_labeled_per=8, n_unlabeled_per=10)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile.joinpath(*under)
+        capsys.readouterr()
+        assert main(["split", "--config", str(fx["config"]), "--out-dir", str(out)]) == 1
+        assert one_error_line(capsys)["message"] == f"output directory {out} cannot be made: {afile} is not a directory"
+        assert afile.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command, flags, payload", [
         ("train", [], {"train": {"features": ["f0", "f0", "f1"]}}),
         ("probe-shell", ["--vary", "f0,f0"], {}),

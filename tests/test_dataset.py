@@ -6,6 +6,7 @@ from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,7 @@ from simlabel.dataset import (
     csv_chunks,
     csv_template_chunks,
     dataset_to_csv_text,
+    feature_matrix,
     load_dataset,
     load_schema,
     number,
@@ -550,6 +552,32 @@ def load_outcome(load, path, strict_labeled):
     rows = [(row.id, repr(row.timestamp), repr(row.features), row.label, row.source, row.vote, row.matched_count)
             for row in data.rows]
     return rows, data.provenance
+
+
+@st.composite
+def hand_built_rows(draw):
+    """Hand-built rows over f0..f2 whose cells are floats (NaN and -0.0 among them), ints, bools and None,
+    and the names asked for, among them g0 and h0, which no row carries."""
+    cell = (st.floats() | st.sampled_from([0.0, -0.0, math.nan]) | st.integers(-(2 ** 64), 2 ** 64)
+            | st.booleans() | st.none())
+    rows = [Sample(id=f"r{i}", timestamp=T0, features=draw(st.dictionaries(st.sampled_from(["f0", "f1", "f2"]), cell)))
+            for i in range(draw(st.integers(0, 4)))]
+    return rows, draw(st.lists(st.sampled_from(["f0", "f1", "f2", "g0", "h0"]), max_size=5, unique=True))
+
+
+class TestFeatureMatrix:
+    @example(([], ["f0", "g0"]))
+    @example(([Sample(id="r0", timestamp=T0, features={"f0": -0.0, "f1": None, "f2": True})], []))
+    @example(([], []))
+    @given(hand_built_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_bits_equal_the_array_of_the_nested_list(self, case):
+        rows, names = case
+        cells = [[row.features.get(name, math.nan) for name in names] for row in rows]
+        expected = np.array(cells, dtype=np.float64).reshape(len(rows), len(names))
+        got = feature_matrix(rows, names)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
 
 
 class TestLoaderAgreesWithTheFlaggedLoop:

@@ -313,6 +313,34 @@ class TestKernelProperties:
                 else:
                     assert bits(block[i, j]) == bits(expected)
 
+    @given(rows_with_ranges() | rows_with_extreme_ranges())
+    @settings(max_examples=300, deadline=None)
+    def test_block_bits_do_not_depend_on_memory_layout(self, case):
+        left, right, ranges = case
+        names = ranges.features()
+
+        def strided(x):  # the same cells as a view into a larger array, strided on both axes
+            wider = np.full((2 * len(x), 3 * len(names)), 7.0)
+            wider[::2, ::3] = x
+            return wider[::2, ::3]
+
+        x, y = feature_matrix(left, names), feature_matrix(right, names)
+        blocks = [similarity_block(layout(x), layout(y), ranges)
+                  for layout in (np.ascontiguousarray, np.asfortranarray, strided)]
+        for block in blocks:
+            assert block.shape == (len(left), len(right))
+            assert block.view(np.int64).tolist() == blocks[0].view(np.int64).tolist()
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                try:
+                    expected = gower_oracle(a.features, b.features, ranges.ranges)
+                except ValueError:
+                    expected = math.nan
+                if math.isnan(expected):
+                    assert math.isnan(blocks[0][i, j])
+                else:
+                    assert bits(blocks[0][i, j]) == bits(expected)
+
     @given(range_sources())
     @settings(max_examples=300, deadline=None)
     def test_compute_ranges_equals_numpy_formula_bits(self, case):
