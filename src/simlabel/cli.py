@@ -1,9 +1,10 @@
 """Pipeline subcommands over a single JSON run configuration.
 
 Each command reads upstream artifacts from the output directory, writes its
-own outputs atomically, and prints a one-line summary. Re-running a command
-with identical inputs and seed produces byte-identical outputs, and the
-worker count never changes a single output byte. Failures, usage errors
+own outputs atomically, and prints a one-line summary. It builds each of its
+JSON artifacts itself and writes it with `dataset.write_json`. Re-running a
+command with identical inputs and seed produces byte-identical outputs, and
+the worker count never changes a single output byte. Failures, usage errors
 such as an unknown flag included, exit 1 with one machine-readable JSON line
 on stderr; `--help` exits 0.
 
@@ -37,7 +38,7 @@ from pathlib import Path
 from typing import Any
 
 from .dataset import Dataset, Sample, load_dataset, load_schema, number, read_json, write_dataset
-from .dataset import atomic_write_chunks, atomic_write_text, time_holdout_split
+from .dataset import atomic_write_chunks, atomic_write_text, time_holdout_split, write_json
 from .errors import ConfigError, MissingArtifactError, SimlabelError
 
 MODEL_NAME_PLAIN = "logistic regression"
@@ -282,7 +283,7 @@ def cmd_ranges(run: Run) -> str:
     from . import kernel
     labeled, unlabeled = run.dataset("labeled"), run.dataset("unlabeled")
     table = kernel.compute_ranges([labeled, unlabeled], run.schema)
-    kernel.save_range_table(table, run.out / "ranges.json")
+    write_json(run.out / "ranges.json", table.to_json_dict())
     return (
         f"ranges: {len(table.ranges)} similarity features pooled over "
         f"{len(labeled) + len(unlabeled)} rows -> {run.out / 'ranges.json'}"
@@ -299,7 +300,8 @@ def cmd_calibrate(run: Run) -> str:
     params = result.params
     run_config = {"percentile": run["percentile"], "confidence_budget": run["confidence_budget"],
                   "d_override": run["d"], "c_override": run["c"]}
-    matcher.save_params(params, run.out / "params.json", extra={
+    write_json(run.out / "params.json", {
+        **params.to_json_dict(),
         "labeled_similarity_distribution": result.distribution,
         "matched_fraction_at_c": result.matched_fraction,
         "run_config": run_config,
@@ -365,7 +367,7 @@ def cmd_train(run: Run) -> str:
             fitted = model_mod.train_logistic(data, run["features"], model_mod.TrainConfig(**settings))
         run_config = {**settings, "features": run["features"], "train_rows": len(data),
                       "train_artifact": data_name}
-        model_mod.save_model(fitted, run.out / f"model_{kind}.json", extra={"run_config": run_config})
+        write_json(run.out / f"model_{kind}.json", {**fitted.to_json_dict(), "run_config": run_config})
         parts.append(f"{kind}: {len(fitted.weights)} weights, {fitted.n_iter} iters ({fitted.stop_reason})"
                      + "".join(f", warning: {w.message}" for w in caught))
     return f"train: {'; '.join(parts)} -> {run.out / 'model_plain.json'}"
@@ -412,7 +414,7 @@ def cmd_evaluate(run: Run) -> str:
         models.append(model_mod.load_external_scores(augmented, MODEL_NAME_AUGMENTED))
     models += [model_mod.load_external_scores(path, name) for name, path in run["external_scores"]]
     report = evaluation.evaluate_table(models, testsets, run["class_threshold"])
-    evaluation.save_report(report, run.out / "eval_report.json")
+    write_json(run.out / "eval_report.json", report.to_json_dict())
     cells = "; ".join(
         f"{m}/{ts}={report.auc[(m, ts)]:.4f}"
         for m in report.model_names
@@ -484,7 +486,7 @@ def cmd_probe_shell(run: Run) -> str:
         shell = probe_mod.score_shell(fitted, shell, threshold)
         report = probe_mod.recourse_probe(shell)
         recourse_path = run.out / f"recourse_{_slug(base.id)}.json"
-        probe_mod.save_recourse_report(report, recourse_path, extra={"run_config": {
+        write_json(recourse_path, {**report.to_json_dict(), "run_config": {
             "d": d, "count": run["count"], "seed": run["seed"], "vary": list(vary),
             "class_threshold": threshold,
         }})

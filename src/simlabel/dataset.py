@@ -30,7 +30,6 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
@@ -447,7 +446,8 @@ def atomic_write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask: a plain open's mode
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)

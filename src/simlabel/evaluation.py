@@ -19,7 +19,7 @@ from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .dataset import Dataset, json_count, json_number, read_json, write_json
+from .dataset import Dataset, json_count, json_number, read_json
 from .errors import EvalError
 
 if TYPE_CHECKING:  # annotations only: `report` reads no score file and never loads the model module
@@ -313,10 +313,6 @@ def evaluate_table(
         comparisons=tuple(comparisons),
         metadata=metadata,
     )
-
-
-def save_report(report: EvalReport, path: str | Path) -> None:
-    write_json(path, report.to_json_dict())
 
 
 def load_report(path: str | Path) -> EvalReport:

@@ -9,7 +9,8 @@ the similarity-weighted mean over the matched contributors.
 
 All comparisons are strict, so ties at a threshold abstain. Similarities come
 from kernel.similarity_blocks in blocks of every labeled row against a run of
-unlabeled rows, at most BLOCK_PAIRS similarities a block. One np.nonzero per
+unlabeled rows, at most kernel.BLOCK_PAIRS similarities a block (the kernel
+sizes its blocks; this module never does). One np.nonzero per
 block lists the contributors, the pairs above d, in labeled-dataset order;
 votes, matched counts and imputations sum only those terms, in that order, so
 every result equals that of a per-pair loop bit for bit, whatever the block size.
@@ -32,14 +33,11 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import dataset
-from .dataset import Dataset, csv_chunks, feature_matrix, json_number, number, read_csv, read_json, write_json
+from .dataset import Dataset, csv_chunks, feature_matrix, json_number, number, read_csv, read_json
 from .errors import MatcherError
 from .kernel import RangeTable, similarity_blocks
 
 TOP_CONTRIBUTORS_CAP = 10
-# similarities per block: each float64 array over a block takes 512 KiB, so the kernel's total, score and count
-# arrays fit a 2 MiB L2 together; the fastest one-thread size of 2**15 to 2**18 on bench's `mine` (500 x 4,000)
-BLOCK_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,21 +107,22 @@ def _labeled_blocks(unlabeled: Dataset, labeled: Dataset, ranges: RangeTable):
     """similarity_blocks of every labeled row against runs of unlabeled rows."""
     names = ranges.features()
     return similarity_blocks(labeled.rows, feature_matrix(labeled.rows, names),
-                             unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges, BLOCK_PAIRS)
+                             unlabeled.rows, feature_matrix(unlabeled.rows, names), ranges)
 
 
 def pairwise_similarities(labeled: Dataset, ranges: RangeTable) -> np.ndarray:
     """All N*(N-1)/2 Gower similarities between labeled rows, pair order row-major.
 
-    Each row is compared with the rows after it.
+    Each row is compared with the rows after it, straight into the one array of every pair.
     """
     rows = labeled.rows
     x = feature_matrix(rows, ranges.features())
-    sims = [np.empty(0)]
+    sims, at = np.empty(len(rows) * (len(rows) - 1) // 2), 0
     for i in range(len(rows) - 1):
-        for _, block in similarity_blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges, BLOCK_PAIRS):
-            sims.append(block[0])
-    return np.concatenate(sims)
+        for _, block in similarity_blocks(rows[i:i + 1], x[i:i + 1], rows[i + 1:], x[i + 1:], ranges):
+            sims[at:at + block.shape[1]] = block[0]
+            at += block.shape[1]
+    return sims
 
 
 def nearest_rank(sorted_values: np.ndarray, percentile: float) -> float:
@@ -235,7 +234,8 @@ def calibrate(
         raise MatcherError("calibrating c needs a non-empty unlabeled dataset")
     if len(labeled.rows) < 2:
         raise MatcherError(f"calibrating d needs at least 2 labeled rows, got {len(labeled.rows)}")
-    sims = np.sort(pairwise_similarities(labeled, ranges))
+    sims = pairwise_similarities(labeled, ranges)
+    sims.sort()  # in place: the pairs are the stage's largest array
     distribution = labeled_similarity_distribution(sims)
     if d is None:
         d = calibrate_similarity_threshold(sims, percentile)
@@ -416,10 +416,6 @@ def contributors_to_json_chunks(matches: Matches) -> Iterator[str]:
         block = json.dumps(contributors_to_json_dict(matches, slice(start, start + step)), check_circular=False)
         yield ("{" if start == 0 else ", ") + block[1:-1]
     yield "}\n" if len(matches) else "{}\n"
-
-
-def save_params(params: SimilarityParams, path: str | Path, extra: dict | None = None) -> None:
-    write_json(path, {**params.to_json_dict(), **(extra or {})})
 
 
 def load_params(path: str | Path) -> SimilarityParams:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .dataset import Dataset, Sample, atomic_write_chunks, csv_chunks, feature_matrix, read_csv
-from .dataset import id_violation, json_count, json_number, number, read_json, write_json
+from .dataset import id_violation, json_count, json_number, number, read_json
 from .errors import ModelError
 
 if TYPE_CHECKING:  # annotations only: score files and model JSON load without numpy, so `evaluate` never loads it
@@ -141,10 +141,6 @@ class LinearModel:
         if bad:
             raise ModelError(f"model values must be finite, l1 and l2 >= 0 and scales > 0, got {', '.join(bad)}")
         return model
-
-
-def save_model(model: LinearModel, path: str | Path, extra: dict | None = None) -> None:
-    write_json(path, {**model.to_json_dict(), **(extra or {})})
 
 
 def load_model(path: str | Path) -> LinearModel:

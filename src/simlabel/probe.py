@@ -34,13 +34,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from itertools import chain, repeat
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import dataset
-from .dataset import Sample, csv_template_chunks, feature_matrix, write_json
+from .dataset import Sample, csv_template_chunks, feature_matrix
 from .errors import ProbeError
 from .evaluation import classify
 from .kernel import RangeTable, similarity_block
@@ -417,7 +416,3 @@ def recourse_probe(shell: Shell) -> RecourseReport:
         max_score_rate=float(rates.max()) if len(rates) else None,
         message=message,
     )
-
-
-def save_recourse_report(report: RecourseReport, path: str | Path, extra: dict | None = None) -> None:
-    write_json(path, {**report.to_json_dict(), **(extra or {})})

@@ -20,7 +20,7 @@ import simlabel.matcher
 import simlabel.probe
 from conftest import make_schema, write_pipeline_fixture
 from oracles import gower_oracle
-from simlabel.cli import KINDS, OPTIONS, build_parser, load_config, main
+from simlabel.cli import _DISPATCH, KINDS, OPTIONS, build_parser, load_config, main
 from simlabel.dataset import load_dataset, load_schema
 
 PIPELINE = ("split", "ranges", "calibrate", "match", "augment", "train", "score", "evaluate", "report")
@@ -169,6 +169,22 @@ def test_portable_artifacts_keep_their_golden_digests(tmp_path, capsys):
                     for name in pinned.keys() | digests[group].keys()
                     if pinned.get(name) != digests[group].get(name))
     assert not differ, f"digest differs from tests/golden.json: {', '.join(differ)}"
+
+
+def test_each_command_writes_exactly_the_files_it_declares(tmp_path):
+    """A file a command writes is a new name in the output directory, or a name that now holds a new inode."""
+    fx = write_pipeline_fixture(tmp_path)
+    probe = ["--sample-id", "l0000"]
+    runs = [(command, [], set(_DISPATCH[command][2])) for command in PIPELINE] + [
+        ("probe-grid", probe, {"probe_grid_l0000.csv"}),
+        ("probe-shell", probe, {"shell_l0000.csv", "recourse_l0000.json"}),
+    ]
+    for command, flags, declared in runs:
+        before = {path.name: path.stat().st_ino for path in fx["out"].glob("*")} if fx["out"].exists() else {}
+        assert main([command, "--config", str(fx["config"]), *flags]) == 0, command
+        after = {path.name: path.stat().st_ino for path in fx["out"].glob("*")}
+        assert {name for name, inode in after.items() if before.get(name) != inode} == declared, command
+    assert not [path.name for path in fx["out"].iterdir() if path.name.endswith(".tmp")]
 
 
 class TestCliErrors:

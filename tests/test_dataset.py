@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -33,6 +35,7 @@ from simlabel.dataset import (
     read_csv,
     time_holdout_split,
     write_dataset,
+    write_json,
 )
 from simlabel.cli import build_parser, load_config
 from simlabel.errors import ConfigError, DataError, MatcherError, ModelError, SchemaError
@@ -772,3 +775,15 @@ def test_failed_chunked_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_pat
     assert path.read_bytes() == b"old\n"
     assert list(tmp_path.glob(".out.csv.*.tmp")) == []
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_an_artifact_gets_the_mode_a_plain_file_gets(tmp_path):
+    """The temp file an artifact is renamed from is created as `open` creates a file: 0o666 less the umask."""
+    umask = os.umask(0o022)
+    try:
+        write_json(tmp_path / "artifact.json", {"a": 1})
+        (tmp_path / "plain.txt").write_text("plain\n", encoding="utf-8")
+    finally:
+        os.umask(umask)
+    modes = {path.name: stat.S_IMODE(path.stat().st_mode) for path in tmp_path.iterdir()}
+    assert modes == {"artifact.json": 0o644, "plain.txt": 0o644}

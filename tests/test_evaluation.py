@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
 from oracles import auc_pairs_oracle, chi_square_1dof_p, exact_binomial_p
-from simlabel.dataset import Dataset
+from simlabel.dataset import Dataset, write_json
 from simlabel.errors import EvalError
 from simlabel.evaluation import (
     EvalReport,
@@ -19,7 +19,6 @@ from simlabel.evaluation import (
     evaluate_table,
     load_report,
     mcnemar_test,
-    save_report,
 )
 from simlabel.model import ScoreFile
 
@@ -271,7 +270,7 @@ class TestEvaluateTable:
         starred = scorefile([0.9, 0.1, 0.8, 0.2], "logistic regression*")
         report = evaluate_table([plain, starred], {"real": labels, "similar": labels})
         path = tmp_path / "report.json"
-        save_report(report, path)
+        write_json(path, report.to_json_dict())
         loaded = load_report(path)
         assert loaded.auc == report.auc
         assert loaded.model_names == report.model_names

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from conftest import make_sample, make_schema
 from oracles import gower_oracle
-from simlabel.dataset import Dataset, feature_matrix
+from simlabel.dataset import Dataset, feature_matrix, write_json
 from simlabel.errors import KernelError
 from simlabel.kernel import (
     RangeTable,
     compute_ranges,
     gower_similarity,
     load_range_table,
-    save_range_table,
     similarity_block,
 )
 
@@ -129,7 +128,7 @@ class TestRangeTable:
             source="unit test",
         )
         path = tmp_path / "ranges.json"
-        save_range_table(original, path)
+        write_json(path, original.to_json_dict())
         loaded = load_range_table(path)
         assert loaded == original
         payload = json.loads(path.read_text())

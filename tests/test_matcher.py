@@ -381,7 +381,7 @@ class TestMatchBatch:
             default = passes()
             default_calls = len(calls)
             assert not np.isnan(default[0].imputed).all()
-            monkeypatch.setattr(simlabel.matcher, "BLOCK_PAIRS", 7)
+            monkeypatch.setattr(simlabel.kernel, "BLOCK_PAIRS", 7)
             calls.clear()
             matches, votes, pairs = passes()
             assert len(calls) > default_calls  # the smaller blocks took effect

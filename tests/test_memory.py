@@ -12,7 +12,7 @@ import simlabel.dataset
 from conftest import make_sample, random_instance
 from simlabel.dataset import atomic_write_chunks
 from simlabel.kernel import RangeTable
-from simlabel.matcher import SimilarityParams, contributors_to_json_chunks, match_batch
+from simlabel.matcher import SimilarityParams, calibrate, contributors_to_json_chunks, match_batch
 from simlabel.model import LinearModel
 from simlabel.probe import probability_grid, score_shell, shell_to_csv_text, similarity_shell
 
@@ -56,3 +56,11 @@ def test_shell_draws_peak_with_a_block_not_with_the_shell(monkeypatch):
              for blocks in (1, 16)]
     # the (n, 1) values and (n,) similarities grow 16-fold; a block's temporaries do not
     assert peaks[1] < 4 * peaks[0], peaks
+
+
+def test_calibrate_holds_the_labeled_pairs_in_one_array():
+    _, labeled, unlabeled, ranges = random_instance(np.random.default_rng(9), 600, 10)
+    pairs_bytes = 8 * len(labeled) * (len(labeled) - 1) // 2
+    peak = peak_bytes(lambda: calibrate(labeled, unlabeled, ranges))
+    # the pairs are filled into one array and sorted in place; a list of pieces or a sorted copy doubles them
+    assert peak < 1.5 * pairs_bytes, peak / pairs_bytes

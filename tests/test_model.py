@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import T0, make_sample, make_schema
 from oracles import auc_pairs_oracle, central_difference_gradient
-from simlabel.dataset import Dataset
+from simlabel.dataset import Dataset, write_json
 from simlabel.errors import ModelError
 from simlabel.model import (
     LinearModel,
@@ -22,7 +22,6 @@ from simlabel.model import (
     load_external_scores,
     load_model,
     predict_scores,
-    save_model,
     save_scores,
     smooth_loss,
     smooth_loss_grad,
@@ -299,7 +298,7 @@ class TestPredictScores:
         data = noisy_dataset(rng)
         model = train_logistic(data, config=TrainConfig(l1=0.01, l2=0.2, max_iter=100))
         path = tmp_path / "model.json"
-        save_model(model, path)
+        write_json(path, model.to_json_dict())
         loaded = load_model(path)
         original = [s for _, s in predict_scores(model, data).rows]
         recovered = [s for _, s in predict_scores(loaded, data).rows]
